@@ -17,10 +17,38 @@ from fractions import Fraction
 from importlib import resources
 
 
-def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
-    """Incidence-count lower bound 2^d k - floor((k-s) / 2^(n-d)) on g(n,k,d;s)."""
+def _check_problem(n: int, k: int | None, d: int) -> None:
+    """Reject d outside 1..n and, unless k is None, k below 1."""
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if k is not None and k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+
+
+def _linear_value(n: int, k: int, d: int) -> int:
+    """n + 2^d k - d - 2: the Lemma 3.1 size, met by f for n large enough."""
+    return n + (k << d) - d - 2
+
+
+def _thm_b_applies(n: int, k: int, d: int) -> bool:
+    """Theorem B's exponentially large n."""
+    return n > (1 << ((k << d) - d - k + 1))
+
+
+def _thm_bc_rule(n: int, k: int, d: int) -> tuple[str, str, int] | None:
+    """The Theorem B or C row for k >= 2; None below Theorem C's range."""
+    if _thm_b_applies(n, k, d):
+        return "ThmB", "both", _linear_value(n, k, d)
+    log_k = k.bit_length() - 1
+    if n >= log_k + d + 1:
+        # ceil(x - log2(2k)) for integer x, exact in integers
+        return "ThmC", "lo", n + (k << d) - d - 1 - log_k
+    return None
+
+
+def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
+    """Incidence-count lower bound 2^d k - floor((k-s) / 2^(n-d)) on g(n,k,d;s)."""
+    _check_problem(n, None, d)
     if not 0 <= s < k:
         raise ValueError(f"need 0 <= s < k, got s={s}, k={k}")
     return (k << d) - ((k - s) >> (n - d))
@@ -28,10 +56,7 @@ def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
 
 def exact_thm_a(n: int, k: int, d: int) -> int | None:
     """f(n,k,d) in the dense regime k >= 2^(n-d-1); None outside it."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_problem(n, k, d)
     if n - d - 1 >= 0 and k < (1 << (n - d - 1)):
         return None
     return (k << d) - (k >> (n - d))
@@ -45,20 +70,12 @@ def bounds_thm_bc(n: int, k: int, d: int) -> tuple[int, int] | None:
     range n >= floor(log2 k) + d + 1, and falls back to the incidence
     bound below that.  Returns None for k < 2.
     """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_problem(n, None, d)
     if k < 2:
         return None
-    hi = n + (k << d) - d - 2
-    log_k = k.bit_length() - 1
-    if n > (1 << ((k << d) - d - k + 1)):
-        lo = hi
-    elif n >= log_k + d + 1:
-        # ceil(x - log2(2k)) for integer x, exact in integers
-        lo = n + (k << d) - d - 1 - log_k
-    else:
-        lo = lb_double_count(n, k, d)
-    return lo, hi
+    rule = _thm_bc_rule(n, k, d)
+    lo = lb_double_count(n, k, d) if rule is None else rule[2]
+    return lo, _linear_value(n, k, d)
 
 
 def lb_hamming_s0(n: int, k: int) -> Fraction:
@@ -100,10 +117,7 @@ def hamming_ceil(n: int, k: int) -> int:
 
 def g_smax_formula(n: int, k: int, d: int) -> int:
     """Exact g(n,k,d;k-1) = n + 2^d k - d - 1."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_problem(n, k, d)
     return n + (k << d) - d - 1
 
 
@@ -116,8 +130,7 @@ def lb_g_restriction(n: int, k: int, d: int, s: int) -> int:
     forced to k(2^d - 1) + s exactly.  At s = k-1 this meets
     g_smax_formula, which is tight.
     """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_problem(n, None, d)
     if not 0 <= s < k:
         raise ValueError(f"need 0 <= s <= k-1, got s={s}, k={k}")
     return k * ((1 << d) - 1) + s + (n - d)
@@ -125,20 +138,15 @@ def lb_g_restriction(n: int, k: int, d: int, s: int) -> int:
 
 def origin_mult_floor(n: int, k: int, d: int) -> int:
     """Provable least origin count of an optimal cover: k-2 for huge n, else 0."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if k > 2 and n > (1 << ((k << d) - k - d + 1)):
+    _check_problem(n, k, d)
+    if k > 2 and _thm_b_applies(n, k, d):
         return k - 2
     return 0
 
 
 def jamison_value(n: int, d: int) -> int:
     """Exact f(n,1,d) = n + 2^d - d - 1 (classical single-cover value)."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    return n + (1 << d) - d - 1
+    return g_smax_formula(n, 1, d)
 
 
 def all_points_value(n: int, k: int) -> int:
@@ -256,10 +264,21 @@ class BoundLedger:
         }
 
 
-def _closed_form_rules(n: int, k: int, d: int):
-    """Per-cell (tag, side, value) contributions; side is 'lo', 'hi', or 'both'."""
-    rules: list[tuple[str, str, int]] = []
-    rules.append(("DoubleCount", "lo", lb_double_count(n, k, d)))
+def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
+    """Per-cell (tag, side, value) rows; side is 'lo', 'hi', or 'both'.
+
+    The rows bound f(n,k,d), or g(n,k,d;s) when s is given.  The ledger,
+    the solver's root bound and the `bound` command all read this table.
+    """
+    if s is not None:
+        rules = [
+            ("DoubleCount", "lo", lb_double_count(n, k, d, s)),
+            ("RestrictionDescent", "lo", lb_g_restriction(n, k, d, s)),
+        ]
+        if s == k - 1:
+            rules.append(("GSmax", "both", g_smax_formula(n, k, d)))
+        return rules
+    rules = [("DoubleCount", "lo", lb_double_count(n, k, d))]
     a = exact_thm_a(n, k, d)
     if a is not None:
         rules.append(("ThmA", "both", a))
@@ -268,17 +287,36 @@ def _closed_form_rules(n: int, k: int, d: int):
     if d == n:
         rules.append(("Anchor(allpoints)", "both", all_points_value(n, k)))
     if k >= 2:
-        hi = n + (k << d) - d - 2
-        rules.append(("Construction(l31)", "hi", hi))
-        log_k = k.bit_length() - 1
-        if n > (1 << ((k << d) - d - k + 1)):
-            rules.append(("ThmB", "both", hi))
-        elif n >= log_k + d + 1:
-            rules.append(("ThmC", "lo", n + (k << d) - d - 1 - log_k))
+        rules.append(("Construction(l31)", "hi", _linear_value(n, k, d)))
+        bc = _thm_bc_rule(n, k, d)
+        if bc is not None:
+            rules.append(bc)
     rules.append(("Construction(smax)", "hi", g_smax_formula(n, k, d)))
     if d == 1 and n == k and k >= 4:
         rules.append(("Construction(diag)", "hi", 3 * k - 4))
     return rules
+
+
+def lb_origin_at_least(n: int, k: int, d: int, s: int) -> int:
+    """Lower bound on the size of a (k,d)-cover of F_2^n with origin count >= s.
+
+    The DoubleCount and RestrictionDescent rows are nondecreasing in s, so
+    their value at s bounds every larger origin count; GSmax enters only at
+    s = k-1, the largest origin count a (k,d)-cover has; the f rows hold at
+    any origin count.
+    """
+    rows = _closed_form_rules(n, k, d) + _closed_form_rules(n, k, d, s)
+    return max(value for _, side, value in rows if side != "hi")
+
+
+def _fold(rows, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] tightened by each row's value on its side."""
+    for _, side, value in rows:
+        if side != "hi":
+            lo = max(lo, value)
+        if side != "lo":
+            hi = min(hi, value)
+    return lo, hi
 
 
 def propagate(
@@ -296,55 +334,41 @@ def propagate(
     if n_max < d or k_max < 1:
         raise ValueError(f"empty rectangle: n_max={n_max}, k_max={k_max}, d={d}")
     cells = [(n, k) for n in range(d, n_max + 1) for k in range(1, k_max + 1)]
+    rows = {(n, k): _closed_form_rules(n, k, d) for n, k in cells}
+    n_closed = {cell: len(r) for cell, r in rows.items()}  # anchor rows follow
+    for a in anchors:
+        if a.d == d and (a.n, a.k) in rows:
+            tag = f"Anchor({a.source})"
+            rows[(a.n, a.k)] += [
+                (tag, side, v) for side, v in (("lo", a.lo), ("hi", a.hi)) if v is not None
+            ]
     lo: dict[tuple[int, int], int] = {}
     hi: dict[tuple[int, int], int] = {}
-    anchor_lo: dict[tuple[int, int], list[Anchor]] = {}
-    anchor_hi: dict[tuple[int, int], list[Anchor]] = {}
-    for a in anchors:
-        if a.d != d or not (d <= a.n <= n_max and 1 <= a.k <= k_max):
-            continue
-        if a.lo is not None:
-            anchor_lo.setdefault((a.n, a.k), []).append(a)
-        if a.hi is not None:
-            anchor_hi.setdefault((a.n, a.k), []).append(a)
-
     for n, k in cells:
-        best_lo, best_hi = 0, n + (k << d)  # slack start; smax tightens immediately
-        for _, side, value in _closed_form_rules(n, k, d):
-            if side in ("lo", "both"):
-                best_lo = max(best_lo, value)
-            if side in ("hi", "both"):
-                best_hi = min(best_hi, value)
-        for a in anchor_lo.get((n, k), ()):
-            best_lo = max(best_lo, a.lo)
-        for a in anchor_hi.get((n, k), ()):
-            best_hi = min(best_hi, a.hi)
-        lo[(n, k)], hi[(n, k)] = best_lo, best_hi
+        # slack start; smax tightens immediately
+        lo[(n, k)], hi[(n, k)] = _fold(rows[(n, k)], 0, n + (k << d))
 
-    def relational(n: int, k: int) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-        lo_rules: list[tuple[str, int]] = []
-        hi_rules: list[tuple[str, int]] = []
+    def relational(n: int, k: int) -> list[tuple[str, str, int]]:
+        out: list[tuple[str, str, int]] = []
         if (n - 1, k) in lo:
-            lo_rules.append(("NRecursion", lo[(n - 1, k)] + 1))
+            out.append(("NRecursion", "lo", lo[(n - 1, k)] + 1))
         if (n + 1, k) in hi:
-            hi_rules.append(("NRecursion", hi[(n + 1, k)] - 1))
+            out.append(("NRecursion", "hi", hi[(n + 1, k)] - 1))
         if (n, k - 1) in lo:
-            lo_rules.append(("KRecursionLo", lo[(n, k - 1)] + 1))
+            out.append(("KRecursionLo", "lo", lo[(n, k - 1)] + 1))
             if d == 1:
-                hi_rules.append(("KRecursionHi", hi[(n, k - 1)] + 2))
+                out.append(("KRecursionHi", "hi", hi[(n, k - 1)] + 2))
         if (n, k + 1) in hi:
-            hi_rules.append(("KRecursionLo", hi[(n, k + 1)] - 1))
+            out.append(("KRecursionLo", "hi", hi[(n, k + 1)] - 1))
             if d == 1:
-                lo_rules.append(("KRecursionHi", lo[(n, k + 1)] - 2))
-        return lo_rules, hi_rules
+                out.append(("KRecursionHi", "lo", lo[(n, k + 1)] - 2))
+        return out
 
     changed = True
     while changed:
         changed = False
         for n, k in cells:
-            lo_rules, hi_rules = relational(n, k)
-            new_lo = max([lo[(n, k)]] + [v for _, v in lo_rules])
-            new_hi = min([hi[(n, k)]] + [v for _, v in hi_rules])
+            new_lo, new_hi = _fold(relational(n, k), lo[(n, k)], hi[(n, k)])
             if new_lo != lo[(n, k)] or new_hi != hi[(n, k)]:
                 lo[(n, k)], hi[(n, k)] = new_lo, new_hi
                 changed = True
@@ -359,25 +383,13 @@ def propagate(
     )
     for n, k in cells:
         final_lo, final_hi = lo[(n, k)], hi[(n, k)]
-        lp: list[str] = []
-        hp: list[str] = []
-        for tag, side, value in _closed_form_rules(n, k, d):
-            if side in ("lo", "both") and value == final_lo:
-                lp.append(tag)
-            if side in ("hi", "both") and value == final_hi:
-                hp.append(tag)
-        lo_rules, hi_rules = relational(n, k)
-        lp += [tag for tag, v in lo_rules if v == final_lo and tag not in lp]
-        hp += [tag for tag, v in hi_rules if v == final_hi and tag not in hp]
-        for a in anchor_lo.get((n, k), ()):
-            if a.lo == final_lo:
-                lp.append(f"Anchor({a.source})")
-        for a in anchor_hi.get((n, k), ()):
-            if a.hi == final_hi:
-                hp.append(f"Anchor({a.source})")
+        # provenance order: closed-form tags, recursion tags, anchor tags
+        m = n_closed[(n, k)]
+        ordered = rows[(n, k)][:m] + relational(n, k) + rows[(n, k)][m:]
         ledger.cells[(n, k, d)] = BoundEntry(
             n=n, k=k, d=d, lo=final_lo, hi=final_hi,
-            lo_provenance=tuple(lp), hi_provenance=tuple(hp),
+            lo_provenance=tuple(t for t, side, v in ordered if side != "hi" and v == final_lo),
+            hi_provenance=tuple(t for t, side, v in ordered if side != "lo" and v == final_hi),
         )
     return ledger
 
@@ -423,7 +435,7 @@ def n0_report(k: int, ledger: BoundLedger) -> N0Report:
     """
     d = ledger.d
     n_lo, n_hi = ledger.n_range
-    target = lambda n: n + (k << d) - d - 2
+    target = lambda n: _linear_value(n, k, d)
     below = None
     first_exact = None
     for n in range(max(n_lo, d), n_hi + 1):
@@ -449,7 +461,7 @@ def n0_report(k: int, ledger: BoundLedger) -> N0Report:
 
 
 def _cell_text(e: BoundEntry) -> str:
-    formula_hi = e.n + (e.k << e.d) - e.d - 2
+    formula_hi = _linear_value(e.n, e.k, e.d)
     if e.exact:
         return f"{e.lo}*" if e.lo == formula_hi else str(e.lo)
     return f"{e.lo}..{e.hi}"

@@ -6,8 +6,6 @@ rule not applicable), 2 usage error, 3 budget exhausted.
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
 F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.
---threads is accepted for interface stability; execution is serial and the
-results are independent of its value.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ from .bounds import (
     anchors_from_json,
     bundled_search_anchors,
     format_table,
-    g_smax_formula,
-    lb_double_count,
-    lb_g_restriction,
     propagate,
 )
 from .codes import (
@@ -188,16 +183,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     _require(1 <= d <= n, "need 1 <= d <= n")
     _require(k >= 1, "need k >= 1")
     if args.s is not None:
-        s = args.s
-        _require(0 <= s <= k - 1, "need 0 <= s <= k-1")
-        rules = [
-            ("DoubleCount", "lo", lb_double_count(n, k, d, s)),
-            ("RestrictionDescent", "lo", lb_g_restriction(n, k, d, s)),
-        ]
-        if s == k - 1:
-            rules.append(("GSmax", "both", g_smax_formula(n, k, d)))
-    else:
-        rules = list(_closed_form_rules(n, k, d))
+        _require(0 <= args.s <= k - 1, "need 0 <= s <= k-1")
+    rules = _closed_form_rules(n, k, d, args.s)
     if args.rule is not None:
         rules = [r for r in rules if r[0] == args.rule]
         if not rules:
@@ -300,8 +287,6 @@ def _add_budgets(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-seconds", type=float, default=None, metavar="X")
     p.add_argument("--seed-cover", metavar="FILE", default=None,
                    help="extra seed cover JSON for the upper bound")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="accepted for interface stability; runs serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a cover document against k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="accepted for interface stability; runs serial")
     _add_io(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -360,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-default-anchors", action="store_true",
                    help="drop the bundled search anchors")
     p.add_argument("--format", choices=("json", "md", "csv"), default="md")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="accepted for interface stability; runs serial")
     _add_io(p, reads=False)
     p.set_defaults(func=_cmd_table)
 
@@ -400,9 +381,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        _say("--threads must be >= 1")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except _UsageError as exc:

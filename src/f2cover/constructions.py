@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import gf2core
+from .bounds import bounds_thm_bc, exact_thm_a, g_smax_formula
 from .covers import Cover, add_parallel_pair, verify
 from .gf2core import AffineSubspace, GFVector, basis_vector, hyperplane, ones_vector, point_subspace
 
@@ -103,15 +104,11 @@ def thm_a_cover(n: int, k: int, d: int) -> Cover:
     Size is exactly 2^d k - floor(k / 2^(n-d)), meeting the double-count
     lower bound; built from the codim-1 dense family, then codim-reduced.
     """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if n - d - 1 >= 0 and k < (1 << (n - d - 1)):
+    size = exact_thm_a(n, k, d)
+    if size is None:
         raise ValueError(f"k={k} below the dense regime threshold 2^{n - d - 1} for (n={n}, d={d})")
     inner = _dense_d1(n - d + 1, k)
     out = inner if d == 1 else _reduce_d_unchecked(inner, n, k, d)
-    size = (k << d) - (k >> (n - d))
     return _checked(out, k, ConstructionTag("ThmA", n=n, k=k, d=d), expect_size=size)
 
 
@@ -123,8 +120,7 @@ def lemma31_cover(n: int, k: int, d: int) -> Cover:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _, size = bounds_thm_bc(n, k, d)
     m = n - d + 1
     entries: list[tuple[AffineSubspace, int]] = [
         (hyperplane(basis_vector(i, m), 1), 1) for i in range(1, m + 1)
@@ -133,7 +129,6 @@ def lemma31_cover(n: int, k: int, d: int) -> Cover:
     _pad_pairs(entries, m, k - 2)
     base = Cover.from_entries(entries)
     out = base if d == 1 else _reduce_d_unchecked(base, n, k, d)
-    size = n + (k << d) - d - 2
     return _checked(out, k, ConstructionTag("Lemma31", n=n, k=k, d=d), expect_size=size)
 
 
@@ -196,10 +191,7 @@ def smax_cover(n: int, k: int, d: int) -> Cover:
     Base case n=d takes k copies of every nonzero point and k-1 of the
     origin; each unit of extra ambient dimension is one lift.
     """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    size = g_smax_formula(n, k, d)
     entries: list[tuple[AffineSubspace, int]] = [
         (point_subspace(GFVector(v, d)), k) for v in range(1, 1 << d)
     ]
@@ -210,7 +202,7 @@ def smax_cover(n: int, k: int, d: int) -> Cover:
         out = lift(out)
     return _checked(
         out, k, ConstructionTag("SMax", n=n, k=k, d=d, s=k - 1),
-        expect_size=n + (k << d) - d - 1,
+        expect_size=size,
     )
 
 

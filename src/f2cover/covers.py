@@ -180,20 +180,6 @@ def add_parallel_pair(C: Cover, u: GFVector) -> Cover:
     return Cover.from_entries(list(C.entries) + extra, tag=C.tag)
 
 
-def _reduce_rows(rows_aug: list[int], n: int) -> AffineSubspace | None:
-    """Reduce possibly dependent augmented rows; None when inconsistent."""
-    red = gf2core._rref_augmented(list(rows_aug))
-    aug = 1 << n
-    if any(r == aug for r in red):
-        return None
-    normals = tuple(r & (aug - 1) for r in red)
-    rhs = 0
-    for i, r in enumerate(red):
-        if r & aug:
-            rhs |= 1 << i
-    return AffineSubspace(n=n, d=len(red), normals=normals, rhs=rhs)
-
-
 def _delete_coordinate(bits: int, p: int) -> int:
     low = bits & ((1 << p) - 1)
     return low | ((bits >> (p + 1)) << p)
@@ -215,8 +201,8 @@ def _restrict_rows(S: AffineSubspace, u: GFVector, extra: tuple[int, int] | None
         if (v >> p) & 1:
             v ^= u.bits
         out.append(_delete_coordinate(v, p) | (c << (S.n - 1)))
-    got = _reduce_rows(out, S.n - 1)
-    if got is None or got.d != S.d:
+    got = gf2core._reduce_augmented(out, S.n - 1, S.d)
+    if not isinstance(got, AffineSubspace):
         raise AssertionError("restriction produced an inconsistent or rank-deficient system")
     return got
 

@@ -175,22 +175,15 @@ def canonicalize(
     if len(rhs) != len(normals):
         raise ValueError("rhs length does not match the number of normals")
     rows = [u.bits | ((c & 1) << n) for u, c in zip(normals, rhs)]
-    reduced = _rref_augmented(rows)
-    aug = 1 << n
-    if any(r == aug for r in reduced):
-        return EMPTY
-    if len(reduced) < len(rows):
-        return DEGENERATE
-    out_normals = tuple(r & (aug - 1) for r in reduced)
-    out_rhs = 0
-    for i, r in enumerate(reduced):
-        if r & aug:
-            out_rhs |= 1 << i
-    return AffineSubspace(n=n, d=len(out_normals), normals=out_normals, rhs=out_rhs)
+    return _reduce_augmented(rows, n, len(rows))
 
 
-def _rref_augmented(rows: list[int]) -> list[int]:
-    """Reduced row echelon form of augmented bit rows, sorted by pivot column."""
+def _reduce_augmented(rows: Sequence[int], n: int, d: int) -> AffineSubspace | _Outcome:
+    """Canonical codim-d subspace of F_2^n from augmented rows (rhs in bit n).
+
+    Returns EMPTY when the rows are inconsistent and DEGENERATE when they
+    are consistent but their rank is not d.
+    """
     basis: list[int] = []
     for row in rows:
         for b in basis:
@@ -202,8 +195,18 @@ def _rref_augmented(rows: list[int]) -> list[int]:
                 if b & pivot:
                     basis[i] ^= row
             basis.append(row)
+    # reduced row echelon form, sorted by pivot column
     basis.sort(key=lambda r: r & -r)
-    return basis
+    aug = 1 << n
+    if any(r == aug for r in basis):
+        return EMPTY
+    if len(basis) != d:
+        return DEGENERATE
+    out_rhs = 0
+    for i, r in enumerate(basis):
+        if r & aug:
+            out_rhs |= 1 << i
+    return AffineSubspace(n=n, d=d, normals=tuple(r & (aug - 1) for r in basis), rhs=out_rhs)
 
 
 def subspace(normals: Sequence[GFVector], rhs: Sequence[int]) -> AffineSubspace:

@@ -18,13 +18,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .bounds import (
-    bounds_thm_bc,
-    exact_thm_a,
-    jamison_value,
-    lb_double_count,
-    lb_g_restriction,
-)
+from .bounds import _check_problem, exact_thm_a, lb_origin_at_least
 from .codes import golay_cover
 from .constructions import diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, coverage_counts
@@ -301,7 +295,7 @@ def _direction_lb_table(n: int, k: int, s_max: int) -> list[list[int]]:
     """
     flo = [0] * (k + 1)
     for kp in range(1, k + 1):
-        flo[kp] = _root_lo(n - 1, kp, 1, 0, kp - 1)
+        flo[kp] = lb_origin_at_least(n - 1, kp, 1, 0)
     never = 1 << 30
     table = [[never] * (k + 1) for _ in range(k + 1)]
     b_cap = min(k - 1, s_max)
@@ -315,29 +309,6 @@ def _direction_lb_table(n: int, k: int, s_max: int) -> list[list[int]]:
                     best = min(best, a + b + max(affine_side, linear_side))
             table[a0][b0] = best
     return table
-
-
-def _check_problem(n: int, k: int, d: int) -> None:
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-
-
-def _root_lo(n: int, k: int, d: int, s_min: int, s_max: int) -> int:
-    # Every per-s lower bound used here is nondecreasing in s, so its
-    # value at s_min bounds the whole window.
-    lo = lb_double_count(n, k, d, s_min)
-    lo = max(lo, lb_g_restriction(n, k, d, s_min))
-    a = exact_thm_a(n, k, d)
-    if a is not None:
-        lo = max(lo, a)
-    bc = bounds_thm_bc(n, k, d)
-    if bc is not None:
-        lo = max(lo, bc[0])
-    if k == 1:
-        lo = max(lo, jamison_value(n, d))
-    return lo
 
 
 def _points_cover(n: int, k: int, s: int) -> Cover:
@@ -385,14 +356,19 @@ def _best_seed(
 
 
 def _certificate(search: _Search) -> Cover:
-    assert search.best_mult is not None
+    """The best cover found, re-verified; raises if the search was wrong."""
+    if search.best_mult is None:
+        raise AssertionError("search kept no cover to certify")
     entries = [
         (search.pool[i], m) for i, m in enumerate(search.best_mult) if m > 0
     ]
     C = Cover.from_entries(entries)
     counts = coverage_counts(C)
-    assert min(counts[1:]) >= search.k
-    assert search.s_min <= counts[0] <= search.s_max
+    if min(counts[1:]) < search.k or not search.s_min <= counts[0] <= search.s_max:
+        raise AssertionError(
+            f"search certificate failed verification: min coverage {min(counts[1:])}, "
+            f"origin {counts[0]}, need k={search.k}, s in [{search.s_min}, {search.s_max}]"
+        )
     return C
 
 
@@ -409,7 +385,7 @@ def _drive(
     extra_seed: Cover | None,
 ) -> SolveResult:
     """Common engine: cap=None minimises, cap=m decides existence at size <= m."""
-    lo = _root_lo(n, k, d, s_min, s_max)
+    lo = lb_origin_at_least(n, k, d, s_min)
     seed = _best_seed(n, k, d, s_min, s_max, extra_seed)
     deciding = cap is not None
 
@@ -446,7 +422,7 @@ def _drive(
     found_size: int | None = None
     found_cert: Cover | None = None
     for s in range(s_max, s_min - 1, -1):
-        if _root_lo(n, k, d, s, s) > limit:
+        if lb_origin_at_least(n, k, d, s) > limit:
             continue
         budget_left = None if max_nodes is None else max_nodes - total_nodes
         if budget_left is not None and budget_left <= 0:

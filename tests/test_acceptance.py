@@ -19,9 +19,11 @@ from f2cover.bounds import (
     _closed_form_rules,
     bundled_search_anchors,
     format_table,
+    g_smax_formula,
     hamming_ceil,
     lb_double_count,
     lb_hamming_s0,
+    lb_origin_at_least,
     n0_report,
     origin_mult_floor,
     propagate,
@@ -238,6 +240,14 @@ def test_bound_rules_are_consistent():
                     his = [v for _, side, v in rules if side in ("hi", "both")]
                     assert los and his, (n, k, d)
                     assert max(los) <= min(his), (n, k, d, rules)
+                    # the solver's root bound at each origin count s
+                    root = [lb_origin_at_least(n, k, d, s) for s in range(k)]
+                    assert root == sorted(root), (n, k, d, root)
+                    assert root[k - 1] <= g_smax_formula(n, k, d), (n, k, d)
+                    if k >= 2:
+                        assert root[k - 2] <= n + (k << d) - d - 2, (n, k, d)
+                    if d == 1 and n == k >= 4:
+                        assert root[k - 4] <= 3 * k - 4, (n, k)
 
         ledger = propagate(12, 16, 1, anchors=bundled_search_anchors())
         for n in range(9, 13):

@@ -206,12 +206,6 @@ def test_missing_file_is_usage(capsys):
     assert run(["verify", "--k", "2", "--in", "/nonexistent/cover.json"]) == 2
 
 
-def test_threads_flag_accepted_but_validated(capsys):
-    assert run(["table", "--nmax", "3", "--kmax", "3", "--threads", "4"]) == 0
-    capsys.readouterr()
-    assert run(["table", "--nmax", "3", "--kmax", "3", "--threads", "0"]) == 2
-
-
 def test_out_file_writing(tmp_path, capsys):
     target = tmp_path / "cover.json"
     assert run(["construct", "--family", "smax", "--n", "4", "--k", "2",

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import f2cover
 from f2cover.bounds import g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
@@ -151,3 +157,29 @@ def test_result_json_shape():
     assert doc["value"] == 4
     assert doc["certificate"]["entries"]
     assert doc["assumptions"] == []
+
+
+def test_certificate_check_survives_python_O():
+    # A search that reports a non-covering multiset must be refused even
+    # when the interpreter strips assert statements.
+    code = textwrap.dedent("""
+        from types import SimpleNamespace
+        from f2cover.gf2core import enumerate_subspaces
+        from f2cover.solver import _certificate
+        if __debug__:
+            raise SystemExit("not running under -O")
+        pool = enumerate_subspaces(3, 1)
+        wrong = SimpleNamespace(
+            pool=pool, best_mult=[1] + [0] * (len(pool) - 1), k=2, s_min=0, s_max=1
+        )
+        try:
+            _certificate(wrong)
+        except AssertionError:
+            raise SystemExit(0)
+        raise SystemExit("non-covering certificate accepted")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(f2cover.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
