@@ -5,13 +5,17 @@ Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
 rule not applicable), 2 usage error, 3 budget exhausted.
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
-F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.
+F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.  A
+budget, from a flag or the environment, must be a finite number >= 0;
+anything else is a usage error.  solve's --assume-high-origin is exclusive
+with --s and --s-max.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -89,12 +93,17 @@ class _UsageError(Exception):
 
 
 def _budgets(args: argparse.Namespace) -> tuple[int | None, float | None]:
-    nodes = args.budget_nodes
-    if nodes is None and os.environ.get("F2COVER_MAX_NODES"):
-        nodes = int(os.environ["F2COVER_MAX_NODES"])
-    seconds = args.budget_seconds
-    if seconds is None and os.environ.get("F2COVER_MAX_SECONDS"):
-        seconds = float(os.environ["F2COVER_MAX_SECONDS"])
+    nodes, seconds = args.budget_nodes, args.budget_seconds
+    try:
+        if nodes is None and os.environ.get("F2COVER_MAX_NODES"):
+            nodes = int(os.environ["F2COVER_MAX_NODES"])
+        if seconds is None and os.environ.get("F2COVER_MAX_SECONDS"):
+            seconds = float(os.environ["F2COVER_MAX_SECONDS"])
+    except ValueError as exc:
+        raise _UsageError(f"bad budget in the environment: {exc}") from None
+    for budget in (nodes, seconds):
+        _require(budget is None or 0 <= budget < math.inf,
+                 f"a budget must be finite and >= 0, got {budget}")
     return nodes, seconds
 
 
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--s", type=int, default=None, help="fix the origin count")
     g.add_argument("--s-max", action="store_true", help="fix s = k-1")
-    p.add_argument("--assume-high-origin", action="store_true",
+    g.add_argument("--assume-high-origin", action="store_true",
                    help="restrict the window to s >= k-2")
     _add_budgets(p)
     _add_io(p, reads=False)

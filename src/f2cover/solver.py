@@ -8,8 +8,8 @@ twice.  Closed forms and the construction families shortcut the search
 whenever the root bounds already meet, so real branching only happens on
 cells where exhaustive search is the only known proof.
 
-An origin window [s_min, s_max] generalises both problems: minimising
-f(n,k,d) is the window [0, k-1], fixing g(n,k,d;s) is [s, s].
+f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
+so every call searches its origin window one exact count s at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .gf2core import (
     AffineSubspace,
     GFVector,
     enumerate_subspaces,
-    point_mask,
     point_subspace,
+    solution_bits,
 )
 
 STATUSES = ("optimal", "feasible", "infeasible", "unknown")
@@ -75,11 +75,15 @@ class _FoundWitness(Exception):
 
 
 class _Search:
-    """One branch-and-bound run over the full pool at fixed (n,k,d).
+    """The pool index of one solver call, searched one origin count per run.
 
-    The usable subset of the pool and the deficient subset of the points
-    both live in single ints, so exclusion, the multiplicity cap, the
-    origin cap, and their undo are all O(1) bit work.
+    A call builds at most one of these: the pool, each member's points and
+    bit mask, and per point the bit set of members through it, once.
+    run(s, limit) resets the per-s state and searches origin count exactly
+    s.  The usable subset of the pool and the deficient subset of the
+    points both live in single ints, so exclusion, the multiplicity cap,
+    the origin cap, and their undo are all O(1) bit work.  nodes counts
+    across runs, so max_nodes bounds the whole call.
     """
 
     def __init__(
@@ -87,24 +91,17 @@ class _Search:
         n: int,
         k: int,
         d: int,
-        s_min: int,
-        s_max: int,
-        limit: int,
         stop_at_first: bool,
         deadline: float | None,
         max_nodes: int | None,
     ):
         self.n, self.k, self.d = n, k, d
-        self.s_min, self.s_max = s_min, s_max
-        self.limit = limit
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
         self.pool = enumerate_subspaces(n, d)
-        self.masks = [point_mask(S) for S in self.pool]
-        self.points = [
-            tuple(p for p in range(1 << n) if m >> p & 1) for m in self.masks
-        ]
+        self.points = [tuple(solution_bits(S)) for S in self.pool]
+        self.masks = [sum(1 << p for p in pts) for pts in self.points]
         self.through_origin = [bool(m & 1) for m in self.masks]
         npts = 1 << n
         self.npts = npts
@@ -113,31 +110,46 @@ class _Search:
             for p in pts:
                 self.coverer_masks[p] |= 1 << i
         self.origin_pool = self.coverer_masks[0]
-        self.target = [self.k] * npts
-        self.target[0] = s_min
-        self.counts = [0] * npts
-        self.mult = [0] * len(self.pool)
-        self.usable_mask = (1 << len(self.pool)) - 1
-        if s_max == 0:
-            self.usable_mask &= ~self.origin_pool
-        self.def_total = k * (npts - 1) + s_min
-        self.def_mask = ((1 << npts) - 2) | (1 if s_min > 0 else 0)
-        self.size = 0
+        # Any valid cover owns an origin-avoiding member: all-through-origin
+        # forces origin count == size <= k-1 < k, too few to cover any
+        # nonzero point k times.  GL(n,2) is transitive on origin-avoiding
+        # codim-d subspaces and fixes the origin count, so every run
+        # preplaces one canonical representative.
+        self.root = self.pool.index(
+            AffineSubspace(n=n, d=d, normals=tuple(1 << j for j in range(d)), rhs=1)
+        )
         self.nodes = 0
         self.cov_shift = n - d
         self.cov = 1 << (n - d)
-        self.best_size: int | None = None
-        self.best_mult: list[int] | None = None
         if d == 1 and n >= 2:
             self.dir_of = [S.normals[0] for S in self.pool]
             self.side_of = [S.rhs for S in self.pool]
-            self.acount = [0] * (1 << n)
-            self.bcount = [0] * (1 << n)
-            self.dir_lb: list[list[int]] | None = _direction_lb_table(
-                n, k, s_max
-            )
-        else:
-            self.dir_lb = None
+
+    def run(self, s: int, limit: int) -> None:
+        """Search origin count exactly s for covers of size <= limit."""
+        n, k, npts = self.n, self.k, self.npts
+        self.s = s
+        self.limit = limit
+        self.target = [k] * npts
+        self.target[0] = s
+        self.counts = [0] * npts
+        self.mult = [0] * len(self.pool)
+        self.usable_mask = (1 << len(self.pool)) - 1
+        if s == 0:
+            self.usable_mask &= ~self.origin_pool
+        self.def_total = k * (npts - 1) + s
+        self.def_mask = ((1 << npts) - 2) | (1 if s > 0 else 0)
+        self.size = 0
+        self.best_size: int | None = None
+        self.best_mult: list[int] | None = None
+        self.dir_lb: list[list[int]] | None = None
+        if self.d == 1 and n >= 2:
+            self.acount = [0] * npts
+            self.bcount = [0] * npts
+            self.dir_lb = _direction_lb_table(n, k, s)
+        with suppress(_FoundWitness):
+            self._add(self.root)
+            self._node()
 
     def _add(self, i: int) -> int:
         """Put one copy of pool[i] in the cover; returns usable bits cleared."""
@@ -163,7 +175,7 @@ class _Search:
                 self.def_total -= 1
                 if c + 1 == target[p]:
                     self.def_mask ^= 1 << p
-        if self.through_origin[i] and counts[0] == self.s_max:
+        if self.through_origin[i] and counts[0] == self.s:
             cleared = self.usable_mask & self.origin_pool
             self.usable_mask ^= cleared
             flips |= cleared
@@ -188,18 +200,6 @@ class _Search:
                     self.def_mask |= 1 << p
         self.mult[i] -= 1
         self.size -= 1
-
-    def run(self, forced: int | None = None) -> None:
-        """Search, optionally with one pool element preplaced at the root."""
-        with suppress(_FoundWitness):
-            if forced is None:
-                self._node()
-                return
-            rec = self._add(forced)
-            try:
-                self._node()
-            finally:
-                self._remove(forced, rec)
 
     def _node(self) -> None:
         self.nodes += 1
@@ -283,27 +283,27 @@ class _Search:
             self.usable_mask |= flipped
 
 
-def _direction_lb_table(n: int, k: int, s_max: int) -> list[list[int]]:
+def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     """Least final size of a valid cover holding (a, b) copies of the two
     hyperplanes of one direction, minimized over extensions a' >= a, b' >= b.
 
     With a' one-side copies, the rest must cover that affine side fully,
     so at least 2(k - a') more; with b' zero-side copies, the rest
     restricts to the linear side as a (k - b')-cover, so at least the
-    closed-form lower bound for f(n-1, k - b') more.  b' stays below the
-    origin budget because each zero-side copy goes through the origin.
+    closed-form lower bound for f(n-1, k - b') more.  b' stays at most the
+    origin count s <= k-1 because each zero-side copy goes through the
+    origin.
     """
     flo = [0] * (k + 1)
     for kp in range(1, k + 1):
         flo[kp] = lb_origin_at_least(n - 1, kp, 1, 0)
     never = 1 << 30
     table = [[never] * (k + 1) for _ in range(k + 1)]
-    b_cap = min(k - 1, s_max)
     for a0 in range(k + 1):
         for b0 in range(k + 1):
             best = never
             for a in range(a0, k + 1):
-                for b in range(b0, b_cap + 1):
+                for b in range(b0, s + 1):
                     affine_side = 2 * (k - a) if a < k else 0
                     linear_side = flo[k - b]
                     best = min(best, a + b + max(affine_side, linear_side))
@@ -316,6 +316,11 @@ def _points_cover(n: int, k: int, s: int) -> Cover:
     if s:
         entries.append((point_subspace(GFVector(0, n)), s))
     return Cover.from_entries(entries)
+
+
+def _fits(counts: list[int], k: int, s_min: int, s_max: int) -> bool:
+    """Coverage counts of a k-cover whose origin count lies in [s_min, s_max]."""
+    return min(counts[1:]) >= k and s_min <= counts[0] <= s_max
 
 
 def _best_seed(
@@ -347,16 +352,13 @@ def _best_seed(
 
     best: Cover | None = None
     for C in candidates:
-        counts = coverage_counts(C)
-        if min(counts[1:]) < k or not s_min <= counts[0] <= s_max:
-            continue
-        if best is None or C.size < best.size:
+        if _fits(coverage_counts(C), k, s_min, s_max) and (best is None or C.size < best.size):
             best = C
     return best
 
 
 def _certificate(search: _Search) -> Cover:
-    """The best cover found, re-verified; raises if the search was wrong."""
+    """The best cover of the last run, re-verified; raises if the search was wrong."""
     if search.best_mult is None:
         raise AssertionError("search kept no cover to certify")
     entries = [
@@ -364,36 +366,48 @@ def _certificate(search: _Search) -> Cover:
     ]
     C = Cover.from_entries(entries)
     counts = coverage_counts(C)
-    if min(counts[1:]) < search.k or not search.s_min <= counts[0] <= search.s_max:
+    if not _fits(counts, search.k, search.s, search.s):
         raise AssertionError(
             f"search certificate failed verification: min coverage {min(counts[1:])}, "
-            f"origin {counts[0]}, need k={search.k}, s in [{search.s_min}, {search.s_max}]"
+            f"origin {counts[0]}, need k={search.k}, s={search.s}"
         )
     return C
+
+
+def _window(
+    k: int, s: int | None, assume_high_origin: bool
+) -> tuple[int, int, tuple[str, ...]]:
+    """The origin window [s_min, s_max] of one call and the assumptions it adds."""
+    if s is not None:
+        if assume_high_origin:
+            raise ValueError("fixed s and assume_high_origin are exclusive")
+        if not 0 <= s <= k - 1:
+            raise ValueError(f"need 0 <= s <= k-1, got s={s}, k={k}")
+        return s, s, ()
+    if assume_high_origin and k >= 2:
+        return k - 2, k - 1, ("origin_count >= k-2",)
+    return 0, k - 1, ()
 
 
 def _drive(
     n: int,
     k: int,
     d: int,
-    s_min: int,
-    s_max: int,
+    window: tuple[int, int, tuple[str, ...]],
     cap: int | None,
-    assumptions: tuple[str, ...],
     max_nodes: int | None,
     max_seconds: float | None,
     extra_seed: Cover | None,
 ) -> SolveResult:
     """Common engine: cap=None minimises, cap=m decides existence at size <= m."""
+    s_min, s_max, assumptions = window
     lo = lb_origin_at_least(n, k, d, s_min)
     seed = _best_seed(n, k, d, s_min, s_max, extra_seed)
     deciding = cap is not None
 
     if deciding:
         if seed is not None and seed.size <= cap:
-            return SolveResult(
-                "feasible", seed.size, seed, 0, lo, assumptions
-            )
+            return SolveResult("feasible", seed.size, seed, 0, lo, assumptions)
         if lo > cap:
             return SolveResult("infeasible", None, None, 0, lo, assumptions)
         limit = cap
@@ -404,63 +418,41 @@ def _drive(
             limit = seed.size - 1
         else:
             limit = 1 << 60
+    best = None if deciding else seed
 
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    # Any valid cover owns an origin-avoiding member: all-through-origin
-    # forces origin count == size, and the window puts size <= k-1 < k,
-    # too few to cover any nonzero point k times.  GL(n,2) is transitive
-    # on origin-avoiding codim-d subspaces and preserves the window, so
-    # one canonical representative can be preplaced.
-    canonical = AffineSubspace(
-        n=n, d=d, normals=tuple(1 << j for j in range(d)), rhs=1
-    )
     # The window splits by exact origin count; each single-s subproblem
     # carries much tighter direction tables than the window as a whole.
-    # High s first: the known good covers sit at s >= k-2.
-    total_nodes = 0
+    # High s first: the known good covers sit at s >= k-2.  The pool is
+    # built only once some s survives its root bound.
+    search: _Search | None = None
     exhausted = True
-    found_size: int | None = None
-    found_cert: Cover | None = None
     for s in range(s_max, s_min - 1, -1):
         if lb_origin_at_least(n, k, d, s) > limit:
             continue
-        budget_left = None if max_nodes is None else max_nodes - total_nodes
-        if budget_left is not None and budget_left <= 0:
+        if max_nodes is not None and (search.nodes if search else 0) >= max_nodes:
             exhausted = False
             break
-        search = _Search(
-            n, k, d, s, s, limit,
-            stop_at_first=deciding, deadline=deadline, max_nodes=budget_left,
-        )
+        if search is None:
+            search = _Search(n, k, d, deciding, deadline, max_nodes)
         try:
-            search.run(forced=search.pool.index(canonical))
+            search.run(s, limit)
         except _BudgetExhausted:
-            total_nodes += search.nodes
             exhausted = False
             break
-        total_nodes += search.nodes
         if search.best_size is not None:
-            found_size = search.best_size
-            found_cert = _certificate(search)
+            best = _certificate(search)
             if deciding:
                 break
-            limit = found_size - 1
+            limit = best.size - 1
 
-    if found_size is not None:
-        if deciding:
-            status = "feasible"
-        else:
-            status = "optimal" if exhausted else "feasible"
-        return SolveResult(
-            status, found_size, found_cert, total_nodes, lo, assumptions
-        )
-    if deciding:
-        status = "infeasible" if exhausted else "unknown"
-        return SolveResult(status, None, None, total_nodes, lo, assumptions)
-    if seed is not None:
-        status = "optimal" if exhausted else "feasible"
-        return SolveResult(status, seed.size, seed, total_nodes, lo, assumptions)
-    return SolveResult("unknown", None, None, total_nodes, lo, assumptions)
+    nodes = search.nodes if search else 0
+    if best is None:
+        status = "infeasible" if deciding and exhausted else "unknown"
+    else:
+        status = "optimal" if exhausted and not deciding else "feasible"
+    value = None if best is None else best.size
+    return SolveResult(status, value, best, nodes, lo, assumptions)
 
 
 def solve_min(
@@ -481,13 +473,8 @@ def solve_min(
     origin_mult_floor).
     """
     _check_problem(n, k, d)
-    s_min, assumptions = 0, ()
-    if assume_high_origin and k >= 2:
-        s_min = k - 2
-        assumptions = ("origin_count >= k-2",)
-    return _drive(
-        n, k, d, s_min, k - 1, None, assumptions, max_nodes, max_seconds, extra_seed
-    )
+    window = _window(k, None, assume_high_origin)
+    return _drive(n, k, d, window, None, max_nodes, max_seconds, extra_seed)
 
 
 def solve_g(
@@ -502,9 +489,8 @@ def solve_g(
 ) -> SolveResult:
     """Minimise cover size at origin count exactly s."""
     _check_problem(n, k, d)
-    if not 0 <= s <= k - 1:
-        raise ValueError(f"need 0 <= s <= k-1, got s={s}, k={k}")
-    return _drive(n, k, d, s, s, None, (), max_nodes, max_seconds, extra_seed)
+    window = _window(k, s, False)
+    return _drive(n, k, d, window, None, max_nodes, max_seconds, extra_seed)
 
 
 def decide(
@@ -529,16 +515,5 @@ def decide(
     _check_problem(n, k, d)
     if size < 0:
         raise ValueError(f"need size >= 0, got {size}")
-    if s is not None and assume_high_origin:
-        raise ValueError("fixed s and assume_high_origin are exclusive")
-    s_min, s_max, assumptions = 0, k - 1, ()
-    if s is not None:
-        if not 0 <= s <= k - 1:
-            raise ValueError(f"need 0 <= s <= k-1, got s={s}, k={k}")
-        s_min = s_max = s
-    elif assume_high_origin and k >= 2:
-        s_min = k - 2
-        assumptions = ("origin_count >= k-2",)
-    return _drive(
-        n, k, d, s_min, s_max, size, assumptions, max_nodes, max_seconds, extra_seed
-    )
+    window = _window(k, s, assume_high_origin)
+    return _drive(n, k, d, window, size, max_nodes, max_seconds, extra_seed)

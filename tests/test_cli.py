@@ -189,6 +189,30 @@ def test_budget_env_override(capsys, monkeypatch):
                 "--budget-nodes", "100000"]) == 0
 
 
+@pytest.mark.parametrize("flags,env", [
+    (["--budget-nodes", "-5"], {}),
+    (["--budget-seconds", "-1"], {}),
+    (["--budget-seconds", "nan"], {}),
+    (["--budget-seconds", "inf"], {}),
+    ([], {"F2COVER_MAX_NODES": "abc"}),
+    ([], {"F2COVER_MAX_NODES": "-1"}),
+    ([], {"F2COVER_MAX_SECONDS": "nan"}),
+    ([], {"F2COVER_MAX_SECONDS": "-0.5"}),
+])
+def test_malformed_budget_is_usage(capsys, monkeypatch, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run(["solve", "--n", "3", "--k", "3", "--s", "0", *flags]) == 2
+    assert run(["decide", "--n", "3", "--k", "3", "--size", "5", *flags]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_assume_high_origin_excludes_fixed_s(capsys):
+    assert run(["solve", "--n", "3", "--k", "3", "--s", "1", "--assume-high-origin"]) == 2
+    assert run(["solve", "--n", "3", "--k", "3", "--s-max", "--assume-high-origin"]) == 2
+    assert run(["solve", "--n", "3", "--k", "3", "--assume-high-origin"]) == 0
+
+
 def test_seed_cover_file(tmp_path, capsys):
     C = gv_random_cover(4, 2, seed=4)
     path = tmp_path / "seed.json"

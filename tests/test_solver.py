@@ -131,6 +131,26 @@ def test_node_budget_reports_unknown():
     assert result.value is None
 
 
+def test_node_counts_are_pinned():
+    # Node counts are deterministic: a change in them is a change in the search.
+    small = solve_g(3, 3, 1, 0)
+    assert (small.status, small.value, small.nodes) == ("optimal", 6, 6)
+    full = solve_g(4, 3, 1, 0)
+    assert (full.status, full.value, full.nodes) == ("optimal", 7, 48)
+
+
+@pytest.mark.parametrize(
+    "max_nodes,status,nodes",
+    [(0, "unknown", 0), (10, "unknown", 11), (47, "unknown", 48), (48, "optimal", 48)],
+)
+def test_node_budget_accounting(max_nodes, status, nodes):
+    # A run that needs 48 nodes: the node past the budget is counted, and a
+    # budget of exactly 48 is enough.
+    result = solve_g(4, 3, 1, 0, max_nodes=max_nodes)
+    assert (result.status, result.nodes) == (status, nodes)
+    assert result.value == (7 if status == "optimal" else None)
+
+
 def test_extra_seed_is_validated_and_used():
     C = lemma31_cover(4, 2, 1)
     result = decide(4, 2, 1, C.size, extra_seed=C)
@@ -170,7 +190,7 @@ def test_certificate_check_survives_python_O():
             raise SystemExit("not running under -O")
         pool = enumerate_subspaces(3, 1)
         wrong = SimpleNamespace(
-            pool=pool, best_mult=[1] + [0] * (len(pool) - 1), k=2, s_min=0, s_max=1
+            pool=pool, best_mult=[1] + [0] * (len(pool) - 1), k=2, s=1
         )
         try:
             _certificate(wrong)
