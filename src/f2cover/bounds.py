@@ -17,12 +17,16 @@ from fractions import Fraction
 from importlib import resources
 
 
+class ParameterError(ValueError):
+    """A problem parameter out of range: a usage error, not a negative answer."""
+
+
 def _check_problem(n: int, k: int | None, d: int) -> None:
     """Reject d outside 1..n and, unless k is None, k below 1."""
     if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
     if k is not None and k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+        raise ParameterError(f"need k >= 1, got {k}")
 
 
 def _linear_value(n: int, k: int, d: int) -> int:

@@ -2,7 +2,8 @@
 
 Machine output is JSON on stdout; the human summary is one line on stderr.
 Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
-rule not applicable), 2 usage error, 3 budget exhausted.
+rule not applicable), 2 usage error (bad flags, or n, k, d, s or size out of
+range), 3 budget exhausted.
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
 F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.  A
@@ -21,6 +22,7 @@ import sys
 
 from .bounds import (
     LedgerContradiction,
+    ParameterError,
     _closed_form_rules,
     anchors_from_json,
     bundled_search_anchors,
@@ -392,7 +394,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ParameterError) as exc:
         _say(str(exc))
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

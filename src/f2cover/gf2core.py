@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MAX_DIMENSION = 24
 
@@ -230,26 +230,23 @@ def point_subspace(v: GFVector) -> AffineSubspace:
     return AffineSubspace(n=n, d=n, normals=tuple(1 << i for i in range(n)), rhs=v.bits)
 
 
-def solution_bits(S: AffineSubspace) -> Iterator[int]:
-    """All solutions of S as raw bit masks, in no particular order."""
-    n = S.n
-    pivots = [(u & -u).bit_length() - 1 for u in S.normals]
-    pivot_mask = 0
-    for p in pivots:
-        pivot_mask |= 1 << p
-    free_cols = [j for j in range(n) if not (pivot_mask >> j) & 1]
-    rhs = S.rhs
-    normals = S.normals
-    for m in range(1 << len(free_cols)):
-        x = 0
-        for t, j in enumerate(free_cols):
-            if (m >> t) & 1:
-                x |= 1 << j
-        for i, u in enumerate(normals):
-            # in RREF a row meets no pivot column but its own
-            if ((x & u).bit_count() ^ (rhs >> i)) & 1:
-                x |= 1 << pivots[i]
-        yield x
+def solution_bits(S: AffineSubspace) -> list[int]:
+    """All 2^(n-d) solutions of S as raw bit masks.
+
+    One particular solution (the rhs bits on the pivot columns) plus the
+    span of the kernel, one basis vector per free column; in RREF that
+    vector is the free column plus the pivots of the rows that touch it.
+    """
+    x0 = pivots = 0
+    for i, u in enumerate(S.normals):
+        pivots |= u & -u
+        x0 |= (u & -u) * ((S.rhs >> i) & 1)
+    out = [x0]
+    for j in range(S.n):
+        if not (pivots >> j) & 1:
+            v = (1 << j) | sum(u & -u for u in S.normals if (u >> j) & 1)
+            out += [x ^ v for x in out]
+    return out
 
 
 def enumerate_points(S: AffineSubspace) -> list[GFVector]:
@@ -287,6 +284,10 @@ def enumerate_subspaces(n: int, d: int, limit: int | None = None) -> list[Affine
     Generates one reduced row echelon system per linear subspace (pivot
     columns chosen, remaining cells free) and attaches every right-hand
     side, so the count is GaussianBinomial(n,d)_2 * 2^d by construction.
+    Canonical order sorts by normals before rhs, so the 2^d cosets of one
+    linear subspace sit together, rhs ascending: member (j << d) | r is
+    coset r of the j-th linear subspace.  The solver's pool index relies
+    on this block order.
     """
     _check_dim(n)
     if not 1 <= d <= n:

@@ -18,7 +18,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .bounds import _check_problem, exact_thm_a, lb_origin_at_least
+from .bounds import ParameterError, _check_problem, exact_thm_a, lb_origin_at_least
 from .codes import golay_cover
 from .constructions import diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, coverage_counts
@@ -74,11 +74,25 @@ class _FoundWitness(Exception):
     pass
 
 
+def _every(step: int, width: int) -> int:
+    """Bits 0, step, 2*step, ... below width (a multiple of step)."""
+    return ((1 << width) - 1) // ((1 << step) - 1)
+
+
+def _cosets(full: int, odd: list[int]) -> list[int]:
+    """Split full by parities: entry r keeps the bits x with bit t of r = [x in odd[t]]."""
+    terms = [full]
+    for q in odd:
+        terms = [x & (full ^ q) for x in terms] + [x & q for x in terms]
+    return terms
+
+
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
     A call builds at most one of these: the pool, each member's points and
-    bit mask, and per point the bit set of members through it, once.
+    bit mask, and per point the bit set of members through it, once, in
+    time linear in the pool: one linear subspace's 2^d cosets at a time.
     run(s, limit) resets the per-s state and searches origin count exactly
     s.  The usable subset of the pool and the deficient subset of the
     points both live in single ints, so exclusion, the multiplicity cap,
@@ -99,16 +113,52 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
-        self.pool = enumerate_subspaces(n, d)
-        self.points = [tuple(solution_bits(S)) for S in self.pool]
-        self.masks = [sum(1 << p for p in pts) for pts in self.points]
-        self.through_origin = [bool(m & 1) for m in self.masks]
+        self.pool = pool = enumerate_subspaces(n, d)
         npts = 1 << n
         self.npts = npts
+        block = 1 << d
+        # odd[u]: the points p with u . p = 1, as a mask over all points
+        odd = [0]
+        for c in range(n):
+            high = _every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c)
+            odd += [x ^ high for x in odd]
+        # qbits[t][c]: bit j << d set iff row t of linear subspace j has bit c
+        qbits = [[bytearray((len(pool) + 7) >> 3) for _ in range(n)] for _ in range(d)]
+        self.points: list[list[int]] = []
+        self.masks: list[int] = []
+        # Canonical order keeps the 2^d cosets of one linear subspace
+        # together, rhs ascending: member (j << d) | r is coset r of block j.
+        for lo in range(0, len(pool), block):
+            if deadline is not None and time.monotonic() > deadline:
+                raise _BudgetExhausted
+            members = pool[lo:lo + block]
+            head = members[0].normals
+            if [(S.normals, S.rhs) for S in members] != [(head, r) for r in range(block)]:
+                raise AssertionError(f"pool members {lo}.. are not one coset block")
+            offsets = [0]
+            for t, u in enumerate(head):
+                offsets += [o ^ (u & -u) for o in offsets]
+                for c in range(n):
+                    if (u >> c) & 1:
+                        qbits[t][c][lo >> 3] |= 1 << (lo & 7)
+            base = solution_bits(members[0])
+            self.points.extend([p ^ o for p in base] for o in offsets)
+            self.masks.extend(_cosets((1 << npts) - 1, [odd[u] for u in head]))
+        self.through_origin = [bool(m & 1) for m in self.masks]
+        # Q_t(p) = sum_j (u_{j,t} . p) << (j << d) is linear in p, so a Gray-code
+        # walk over the points updates each Q_t with one XOR and keeps only d
+        # of them alive.  p lies in coset r of block j iff bit j << d of
+        # Q_t(p) is bit t of r for every t.
+        qcol = [[int.from_bytes(b, "little") for b in row] for row in qbits]
+        every = _every(block, len(pool))
+        q = [0] * d
         self.coverer_masks = [0] * npts
-        for i, pts in enumerate(self.points):
-            for p in pts:
-                self.coverer_masks[p] |= 1 << i
+        for g in range(npts):
+            if g:
+                c = (g & -g).bit_length() - 1
+                q = [qt ^ qcol[t][c] for t, qt in enumerate(q)]
+            cosets = _cosets(every, q)
+            self.coverer_masks[g ^ (g >> 1)] = sum(x << r for r, x in enumerate(cosets))
         self.origin_pool = self.coverer_masks[0]
         # Any valid cover owns an origin-avoiding member: all-through-origin
         # forces origin count == size <= k-1 < k, too few to cover any
@@ -207,7 +257,7 @@ class _Search:
             raise _BudgetExhausted
         if (
             self.deadline is not None
-            and (self.nodes & 255) == 0
+            and (self.nodes & 255) == 1
             and time.monotonic() > self.deadline
         ):
             raise _BudgetExhausted
@@ -250,11 +300,19 @@ class _Search:
         masks = self.masks
         cands = []
         cm = coverer_masks[branch_p] & um
+        # one 64-bit word at a time: peeling bits off the whole pool-wide
+        # mask would copy it once per candidate; base is one below the
+        # pool index of the word's bit 0
+        base = -1
         while cm:
-            b = cm & -cm
-            i = b.bit_length() - 1
-            cm ^= b
-            cands.append((-(masks[i] & dm).bit_count(), i))
+            w = cm & 0xFFFF_FFFF_FFFF_FFFF
+            cm >>= 64
+            while w:
+                b = w & -w
+                i = b.bit_length() + base
+                w ^= b
+                cands.append((-(masks[i] & dm).bit_count(), i))
+            base += 64
         cands.sort()
         dir_lb = self.dir_lb
         flipped = 0
@@ -380,9 +438,9 @@ def _window(
     """The origin window [s_min, s_max] of one call and the assumptions it adds."""
     if s is not None:
         if assume_high_origin:
-            raise ValueError("fixed s and assume_high_origin are exclusive")
+            raise ParameterError("fixed s and assume_high_origin are exclusive")
         if not 0 <= s <= k - 1:
-            raise ValueError(f"need 0 <= s <= k-1, got s={s}, k={k}")
+            raise ParameterError(f"need 0 <= s <= k-1, got s={s}, k={k}")
         return s, s, ()
     if assume_high_origin and k >= 2:
         return k - 2, k - 1, ("origin_count >= k-2",)
@@ -433,9 +491,9 @@ def _drive(
         if max_nodes is not None and (search.nodes if search else 0) >= max_nodes:
             exhausted = False
             break
-        if search is None:
-            search = _Search(n, k, d, deciding, deadline, max_nodes)
         try:
+            if search is None:
+                search = _Search(n, k, d, deciding, deadline, max_nodes)
             search.run(s, limit)
         except _BudgetExhausted:
             exhausted = False
@@ -514,6 +572,6 @@ def decide(
     """
     _check_problem(n, k, d)
     if size < 0:
-        raise ValueError(f"need size >= 0, got {size}")
+        raise ParameterError(f"need size >= 0, got {size}")
     window = _window(k, s, assume_high_origin)
     return _drive(n, k, d, window, size, max_nodes, max_seconds, extra_seed)

@@ -178,6 +178,16 @@ def test_decide_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_parameter_errors_are_usage(capsys):
+    # out-of-range n, k, d, s or size is a usage error, not a negative answer
+    assert run(["solve", "--n", "3", "--k", "3", "--s", "7"]) == 2
+    assert run(["solve", "--n", "3", "--k", "3", "--d", "4"]) == 2
+    assert run(["decide", "--n", "3", "--k", "0", "--size", "3"]) == 2
+    assert run(["decide", "--n", "3", "--k", "3", "--size", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need k >= 1" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("F2COVER_MAX_NODES", "0")
     assert run(["solve", "--n", "3", "--k", "3", "--s", "0"]) == 3

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from f2cover.bounds import g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import enumerate_subspaces, solution_bits
-from f2cover.solver import STATUSES, decide, solve_g, solve_min
+from f2cover import solver
+from f2cover.solver import STATUSES, _Search, decide, solve_g, solve_min
 
 
 def brute_min(n, k, d, s_min=0, s_max=None):
@@ -137,6 +139,50 @@ def test_node_counts_are_pinned():
     assert (small.status, small.value, small.nodes) == ("optimal", 6, 6)
     full = solve_g(4, 3, 1, 0)
     assert (full.status, full.value, full.nodes) == ("optimal", 7, 48)
+
+
+def test_witness_scale_node_counts_are_pinned():
+    # d >= 2 pools of 10,668 and 11,160 subspaces, searched to a first witness
+    wide = decide(7, 3, 2, 16, s=0)
+    assert (wide.status, wide.value, wide.nodes) == ("feasible", 16, 16)
+    deep = decide(6, 3, 3, 25, s=0)
+    assert (deep.status, deep.value, deep.nodes) == ("feasible", 25, 25)
+
+
+INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("n,d", INDEX_CELLS)
+def test_pool_index_matches_naive_incidence(n, d):
+    search = _Search(n, 2, d, False, None, None)
+    members = [list(filter(S.contains_bits, range(1 << n))) for S in search.pool]
+    assert [sorted(pts) for pts in search.points] == members
+    assert [sorted(solution_bits(S)) for S in search.pool] == members
+    assert search.masks == [sum(1 << x for x in xs) for xs in members]
+    # coverer_masks[x] bit i: member i contains x (as a '0'/'1' string, high bit first)
+    through = [bytearray(b"0" * len(members)) for _ in range(1 << n)]
+    for i, xs in enumerate(members):
+        for x in xs:
+            through[x][i] = ord("1")
+    assert search.coverer_masks == [int(row[::-1], 2) for row in through]
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 2)])
+def test_pool_index_rejects_cosets_out_of_order(monkeypatch, a, b):
+    # (0, 1) swaps the two cosets of one hyperplane; (1, 2) mixes two blocks
+    pool = enumerate_subspaces(3, 1)
+    pool[a], pool[b] = pool[b], pool[a]
+    monkeypatch.setattr(solver, "enumerate_subspaces", lambda n, d: pool)
+    with pytest.raises(AssertionError, match="coset block"):
+        _Search(3, 2, 1, False, None, None)
+
+
+def test_time_budget_bounds_pool_build():
+    # a 173,740-subspace pool: the index build itself must watch the clock
+    start = time.monotonic()
+    result = decide(9, 3, 2, 17, s=0, max_seconds=1)
+    assert result.status == "unknown" and result.value is None
+    assert time.monotonic() - start < 4
 
 
 @pytest.mark.parametrize(
