@@ -296,7 +296,7 @@ def enumerate_subspaces(n: int, d: int, limit: int | None = None) -> list[Affine
     cap = SUBSPACE_ENUM_LIMIT if limit is None else limit
     if total > cap:
         raise ValueError(f"enumeration of {total} subspaces exceeds the limit of {cap}")
-    out: list[AffineSubspace] = []
+    systems: list[tuple[int, ...]] = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
         free_cells = [
@@ -307,7 +307,11 @@ def enumerate_subspaces(n: int, d: int, limit: int | None = None) -> list[Affine
             for t, (i, j) in enumerate(free_cells):
                 if (assign >> t) & 1:
                     rows[i] |= 1 << j
-            for rhs in range(1 << d):
-                out.append(AffineSubspace(n=n, d=d, normals=tuple(rows), rhs=rhs))
-    out.sort(key=AffineSubspace.canonical_bytes)
-    return out
+            systems.append(tuple(rows))
+    # Normals fit in 3 bytes, so int tuple order is canonical_bytes order.
+    systems.sort()
+    return [
+        AffineSubspace(n=n, d=d, normals=rows, rhs=rhs)
+        for rows in systems
+        for rhs in range(1 << d)
+    ]

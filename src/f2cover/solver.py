@@ -1,10 +1,13 @@
 """Depth-first branch-and-bound for minimum multiplicity covers.
 
 The pool is every codimension-d affine subspace of F_2^n; a search state
-is a multiset over the pool.  Branching follows deficient points: pick
-the worst uncovered point, try each of its usable coverers in turn, and
-forbid a tried coverer in the later siblings, so no multiset is reached
-twice.  Closed forms and the construction families shortcut the search
+is a multiset over the pool.  What the search reads of it is bit-sliced
+by need: one mask per level j of the points still needing at least j
+more copies, so placing a member is k mask operations, not a loop over
+its points.  Branching follows deficient points: pick the worst
+uncovered point, try each of its usable coverers in turn, and forbid a
+tried coverer in the later siblings, so no multiset is reached twice.
+Closed forms and the construction families shortcut the search
 whenever the root bounds already meet, so real branching only happens on
 cells where exhaustive search is the only known proof.
 
@@ -27,7 +30,6 @@ from .gf2core import (
     GFVector,
     enumerate_subspaces,
     point_subspace,
-    solution_bits,
 )
 
 STATUSES = ("optimal", "feasible", "infeasible", "unknown")
@@ -90,14 +92,17 @@ def _cosets(full: int, odd: list[int]) -> list[int]:
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
-    A call builds at most one of these: the pool, each member's points and
-    bit mask, and per point the bit set of members through it, once, in
-    time linear in the pool: one linear subspace's 2^d cosets at a time.
-    run(s, limit) resets the per-s state and searches origin count exactly
-    s.  The usable subset of the pool and the deficient subset of the
-    points both live in single ints, so exclusion, the multiplicity cap,
-    the origin cap, and their undo are all O(1) bit work.  nodes counts
-    across runs, so max_nodes bounds the whole call.
+    A call builds at most one of these: the pool, each member's bit mask
+    over the points, and per point the bit set of members through it,
+    once, in time linear in the pool: one linear subspace's 2^d cosets at
+    a time.  run(s, limit) searches origin count exactly s.  A search
+    state is a few ints: lev[j-1] masks the points that still need at
+    least j more copies (the origin sits at levels 1..s only, every other
+    point at 1..k), and the usable subset of the pool is one int.  Adding
+    a member with point mask M lowers each level j by the points of M
+    whose need is exactly j, with no per-point loop; undo is keeping the
+    parent's ints.  nodes counts across runs, so max_nodes bounds the
+    whole call.
     """
 
     def __init__(
@@ -124,7 +129,6 @@ class _Search:
             odd += [x ^ high for x in odd]
         # qbits[t][c]: bit j << d set iff row t of linear subspace j has bit c
         qbits = [[bytearray((len(pool) + 7) >> 3) for _ in range(n)] for _ in range(d)]
-        self.points: list[list[int]] = []
         self.masks: list[int] = []
         # Canonical order keeps the 2^d cosets of one linear subspace
         # together, rhs ascending: member (j << d) | r is coset r of block j.
@@ -135,16 +139,11 @@ class _Search:
             head = members[0].normals
             if [(S.normals, S.rhs) for S in members] != [(head, r) for r in range(block)]:
                 raise AssertionError(f"pool members {lo}.. are not one coset block")
-            offsets = [0]
             for t, u in enumerate(head):
-                offsets += [o ^ (u & -u) for o in offsets]
                 for c in range(n):
                     if (u >> c) & 1:
                         qbits[t][c][lo >> 3] |= 1 << (lo & 7)
-            base = solution_bits(members[0])
-            self.points.extend([p ^ o for p in base] for o in offsets)
             self.masks.extend(_cosets((1 << npts) - 1, [odd[u] for u in head]))
-        self.through_origin = [bool(m & 1) for m in self.masks]
         # Q_t(p) = sum_j (u_{j,t} . p) << (j << d) is linear in p, so a Gray-code
         # walk over the points updates each Q_t with one XOR and keeps only d
         # of them alive.  p lies in coset r of block j iff bit j << d of
@@ -171,87 +170,36 @@ class _Search:
         self.nodes = 0
         self.cov_shift = n - d
         self.cov = 1 << (n - d)
-        if d == 1 and n >= 2:
-            self.dir_of = [S.normals[0] for S in self.pool]
-            self.side_of = [S.rhs for S in self.pool]
 
     def run(self, s: int, limit: int) -> None:
         """Search origin count exactly s for covers of size <= limit."""
-        n, k, npts = self.n, self.k, self.npts
+        n, k, npts, root = self.n, self.k, self.npts, self.root
         self.s = s
         self.limit = limit
-        self.target = [k] * npts
-        self.target[0] = s
-        self.counts = [0] * npts
-        self.mult = [0] * len(self.pool)
-        self.usable_mask = (1 << len(self.pool)) - 1
-        if s == 0:
-            self.usable_mask &= ~self.origin_pool
-        self.def_total = k * (npts - 1) + s
-        self.def_mask = ((1 << npts) - 2) | (1 if s > 0 else 0)
-        self.size = 0
         self.best_size: int | None = None
         self.best_mult: list[int] | None = None
-        self.dir_lb: list[list[int]] | None = None
-        if self.d == 1 and n >= 2:
-            self.acount = [0] * npts
-            self.bcount = [0] * npts
-            self.dir_lb = _direction_lb_table(n, k, s)
+        self.dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
+        self.mult = [0] * len(self.pool)
+        self.mult[root] = 1
+        usable = (1 << len(self.pool)) - 1
+        if s == 0:
+            usable &= ~self.origin_pool
+        if k == 1:
+            usable &= ~(1 << root)
+        # The preplaced member avoids the origin and each of its self.cov
+        # points needs k, so it only lowers the top level; an emptied top
+        # level is dropped.
+        lev = [((1 << npts) - 2) | (j < s) for j in range(k)]
+        lev[-1] &= ~self.masks[root]
+        if not lev[-1]:
+            lev.pop()
         with suppress(_FoundWitness):
-            self._add(self.root)
-            self._node()
+            self._node(lev, k * (npts - 1) + s - self.cov, 1, usable)
 
-    def _add(self, i: int) -> int:
-        """Put one copy of pool[i] in the cover; returns usable bits cleared."""
-        flips = 0
-        self.mult[i] += 1
-        self.size += 1
-        if self.dir_lb is not None:
-            u = self.dir_of[i]
-            if self.side_of[i]:
-                self.acount[u] += 1
-            else:
-                self.bcount[u] += 1
-        if self.mult[i] >= self.k:
-            bit = (1 << i) & self.usable_mask
-            self.usable_mask ^= bit
-            flips |= bit
-        counts = self.counts
-        target = self.target
-        for p in self.points[i]:
-            c = counts[p]
-            counts[p] = c + 1
-            if c < target[p]:
-                self.def_total -= 1
-                if c + 1 == target[p]:
-                    self.def_mask ^= 1 << p
-        if self.through_origin[i] and counts[0] == self.s:
-            cleared = self.usable_mask & self.origin_pool
-            self.usable_mask ^= cleared
-            flips |= cleared
-        return flips
-
-    def _remove(self, i: int, flips: int) -> None:
-        self.usable_mask |= flips
-        if self.dir_lb is not None:
-            u = self.dir_of[i]
-            if self.side_of[i]:
-                self.acount[u] -= 1
-            else:
-                self.bcount[u] -= 1
-        counts = self.counts
-        target = self.target
-        for p in self.points[i]:
-            c = counts[p] - 1
-            counts[p] = c
-            if c < target[p]:
-                self.def_total += 1
-                if c + 1 == target[p]:
-                    self.def_mask |= 1 << p
-        self.mult[i] -= 1
-        self.size -= 1
-
-    def _node(self) -> None:
+    def _node(self, lev: list[int], def_total: int, size: int, usable: int) -> None:
+        """One search node: lev[j-1] masks the points still needing >= j
+        copies (empty levels dropped, so len(lev) is the largest need),
+        def_total is the total need and usable the members still allowed."""
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExhausted
@@ -261,45 +209,41 @@ class _Search:
             and time.monotonic() > self.deadline
         ):
             raise _BudgetExhausted
-        if self.def_total == 0:
-            self.best_size = self.size
+        if def_total == 0:
+            self.best_size = size
             self.best_mult = list(self.mult)
             if self.stop_at_first:
                 raise _FoundWitness
-            self.limit = self.size - 1
+            self.limit = size - 1
             return
-        size = self.size
         limit = self.limit
-        if size + ((self.def_total + self.cov - 1) >> self.cov_shift) > limit:
+        if size + ((def_total + self.cov - 1) >> self.cov_shift) > limit:
             return
-        counts = self.counts
-        target = self.target
+        # one member lowers a point's need by at most one
+        if size + len(lev) > limit:
+            return
+        # A deficient point with no usable coverer ends the node; otherwise
+        # branch on the point of largest need (the top level) with the
+        # fewest usable coverers, lowest index on a tie.
         coverer_masks = self.coverer_masks
-        um = self.usable_mask
-        best_need = 0
-        best_cnt = 0
-        branch_p = -1
-        m = self.def_mask
+        dm = lev[0]
+        top = lev[-1]
+        best_cnt = -1
+        m = dm
         while m:
             b = m & -m
-            p = b.bit_length() - 1
             m ^= b
-            need = target[p] - counts[p]
-            if size + need > limit:
+            p = b.bit_length() - 1
+            c = coverer_masks[p] & usable
+            if not c:
                 return
-            cnt = (coverer_masks[p] & um).bit_count()
-            if cnt == 0:
-                return
-            if (
-                branch_p < 0
-                or need > best_need
-                or (need == best_need and cnt < best_cnt)
-            ):
-                best_need, best_cnt, branch_p = need, cnt, p
-        dm = self.def_mask
+            if b & top:
+                cnt = c.bit_count()
+                if best_cnt < 0 or cnt < best_cnt:
+                    best_cnt, branch_p = cnt, p
         masks = self.masks
         cands = []
-        cm = coverer_masks[branch_p] & um
+        cm = coverer_masks[branch_p] & usable
         # one 64-bit word at a time: peeling bits off the whole pool-wide
         # mask would copy it once per candidate; base is one below the
         # pool index of the word's bit 0
@@ -314,31 +258,30 @@ class _Search:
                 cands.append((-(masks[i] & dm).bit_count(), i))
             base += 64
         cands.sort()
+        # exact[j]: the points whose need is exactly j+1; a member M takes
+        # M & exact[j] down from level j+1 to level j
+        exact = [D ^ E for D, E in zip(lev, lev[1:])] + [top]
+        origin_last = exact[0] & 1
+        k = self.k
+        mult = self.mult
         dir_lb = self.dir_lb
-        flipped = 0
-        try:
-            for _, i in cands:
-                if dir_lb is not None:
-                    u = self.dir_of[i]
-                    if self.side_of[i]:
-                        fate = dir_lb[self.acount[u] + 1][self.bcount[u]]
-                    else:
-                        fate = dir_lb[self.acount[u]][self.bcount[u] + 1]
-                    if fate > self.limit:
-                        # exclusion still applies: the subtree is provably empty
-                        bit = 1 << i
-                        self.usable_mask &= ~bit
-                        flipped |= bit
-                        continue
-                rec = self._add(i)
-                self._node()
-                self._remove(i, rec)
-                # exclusion: later siblings may not use pool[i] at all
-                bit = 1 << i
-                self.usable_mask &= ~bit
-                flipped |= bit
-        finally:
-            self.usable_mask |= flipped
+        for _, i in cands:
+            mult[i] += 1
+            # d=1 blocks are the two sides of one direction: member i | 1
+            # avoids the origin and member i & -2 goes through it
+            if dir_lb is None or dir_lb[mult[i | 1]][mult[i & -2]] <= self.limit:
+                M = masks[i]
+                child = [D ^ (M & x) for D, x in zip(lev, exact)]
+                if not child[-1]:
+                    child.pop()
+                cu = usable if mult[i] < k else usable ^ (1 << i)
+                if M & origin_last:
+                    cu &= ~self.origin_pool
+                self._node(child, def_total - (M & dm).bit_count(), size + 1, cu)
+            # else the direction table proves the subtree empty
+            mult[i] -= 1
+            # exclusion: later siblings may not use pool[i] at all
+            usable ^= 1 << i
 
 
 def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:

@@ -93,6 +93,14 @@ def test_enumerate_subspaces_complete_and_distinct(n, d):
         )
 
 
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 3)]
+)
+def test_enumerate_subspaces_in_canonical_order(n, d):
+    pool = enumerate_subspaces(n, d)
+    assert pool == sorted(pool, key=AffineSubspace.canonical_bytes)
+
+
 def test_enumerate_points_matches_bits():
     S = hyperplane(GFVector(0b11, 2), 0)
     assert sorted(v.bits for v in enumerate_points(S)) == [0b00, 0b11]

@@ -149,6 +149,49 @@ def test_witness_scale_node_counts_are_pinned():
     assert (deep.status, deep.value, deep.nodes) == ("feasible", 25, 25)
 
 
+def test_origin_cap_node_count_is_pinned():
+    # s >= 1 at d=1: the origin cap and the direction table both prune here
+    result = solve_g(4, 4, 1, 1)
+    assert (result.status, result.value, result.nodes) == ("optimal", 9, 14298)
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (solve_g, (4, 3, 1, 0)),
+        (solve_g, (3, 6, 1, 1)),  # origin cap and direction table
+        (lambda *a: decide(*a, s=0), (4, 3, 2, 12)),
+    ],
+    ids=["g4310", "g3611", "decide4312"],
+)
+def test_level_masks_match_a_recount(monkeypatch, call, args):
+    # At every node the level masks, the total need and the caps on the
+    # usable members must equal what a point-by-point recount of mult gives.
+    node = _Search._node
+    visits = []
+
+    def checked(self, lev, def_total, size, usable):
+        counts = [0] * self.npts
+        for m, mask in zip(self.mult, self.masks):
+            for p in range(self.npts):
+                counts[p] += m * (mask >> p & 1)
+        needs = [max(0, (self.k if p else self.s) - c) for p, c in enumerate(counts)]
+        levels = range(1, max(needs) + 1)
+        assert lev == [sum(1 << p for p, x in enumerate(needs) if x >= j) for j in levels]
+        assert def_total == sum(needs) and size == sum(self.mult)
+        assert counts[0] <= self.s
+        capped = sum(1 << i for i, m in enumerate(self.mult) if m >= self.k)
+        if counts[0] == self.s:
+            capped |= self.origin_pool
+        assert not usable & capped
+        visits.append(size)
+        node(self, lev, def_total, size, usable)
+
+    monkeypatch.setattr(_Search, "_node", checked)
+    result = call(*args)
+    assert len(visits) == result.nodes > 0
+
+
 INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), (7, 3)]
 
 
@@ -156,7 +199,6 @@ INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), 
 def test_pool_index_matches_naive_incidence(n, d):
     search = _Search(n, 2, d, False, None, None)
     members = [list(filter(S.contains_bits, range(1 << n))) for S in search.pool]
-    assert [sorted(pts) for pts in search.points] == members
     assert [sorted(solution_bits(S)) for S in search.pool] == members
     assert search.masks == [sum(1 << x for x in xs) for xs in members]
     # coverer_masks[x] bit i: member i contains x (as a '0'/'1' string, high bit first)
