@@ -23,6 +23,7 @@ import sys
 from .bounds import (
     LedgerContradiction,
     ParameterError,
+    _check_problem,
     _closed_form_rules,
     anchors_from_json,
     bundled_search_anchors,
@@ -191,8 +192,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     n, k, d = args.n, args.k, args.d
-    _require(1 <= d <= n, "need 1 <= d <= n")
-    _require(k >= 1, "need k >= 1")
+    _check_problem(n, k, d)
     if args.s is not None:
         _require(0 <= args.s <= k - 1, "need 0 <= s <= k-1")
     rules = _closed_form_rules(n, k, d, args.s)

@@ -21,6 +21,9 @@ TAG_NAMES = frozenset(
     {"ThmA", "Lemma31", "ReduceD", "Lift", "SMax", "Diagonal", "GolayCover", "GVRandom", "ParallelPad"}
 )
 
+# Random draws gv_random_cover makes before it gives up.
+GV_MAX_TRIES = 200
+
 
 @dataclass(frozen=True)
 class ConstructionTag:
@@ -225,21 +228,21 @@ def diagonal_cover(k: int) -> Cover:
     )
 
 
-def gv_random_cover(n: int, k: int, seed: int = 0, max_tries: int = 200) -> Cover:
+def gv_random_cover(n: int, k: int, seed: int = 0) -> Cover:
     """Random (k,1;0)-cover in the spirit of random linear codes.
 
     Samples m = n + ceil((k-1) log2(2n)) origin-avoiding hyperplanes with
-    uniform nonzero normals; after every max_tries/4 failures m grows by
-    one.  Deterministic for a fixed seed; raises after max_tries failures.
+    uniform nonzero normals; after every GV_MAX_TRIES/4 failures m grows by
+    one.  Deterministic for a fixed seed; raises after GV_MAX_TRIES failures.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     gf2core._check_dim(n)
     rng = random.Random(seed)
     m = n + math.ceil((k - 1) * math.log2(2 * n))
-    patience = max(1, max_tries // 4)
+    patience = GV_MAX_TRIES // 4
     top = (1 << n) - 1
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, GV_MAX_TRIES + 1):
         draws = [rng.randint(1, top) for _ in range(m)]
         C = Cover.from_entries(
             [(hyperplane(GFVector(u, n), 1), 1) for u in draws],
@@ -250,6 +253,6 @@ def gv_random_cover(n: int, k: int, seed: int = 0, max_tries: int = 200) -> Cove
         if attempt % patience == 0:
             m += 1
     raise RuntimeError(
-        f"no (k={k},1;0)-cover of F_2^{n} found in {max_tries} random draws; "
-        "raise max_tries or start from a larger size"
+        f"no (k={k},1;0)-cover of F_2^{n} found in {GV_MAX_TRIES} random draws; "
+        "try another seed"
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from . import gf2core
 from .gf2core import EMPTY, DEGENERATE, AffineSubspace, GFVector
@@ -63,11 +63,6 @@ class Cover:
     @property
     def size(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    def iter_expanded(self) -> Iterator[AffineSubspace]:
-        for S, mult in self.entries:
-            for _ in range(mult):
-                yield S
 
     def with_tag(self, tag: "ConstructionTag | None") -> "Cover":
         return Cover(n=self.n, d=self.d, entries=self.entries, tag=tag)
@@ -185,12 +180,15 @@ def _delete_coordinate(bits: int, p: int) -> int:
     return low | ((bits >> (p + 1)) << p)
 
 
-def _restrict_rows(S: AffineSubspace, u: GFVector, extra: tuple[int, int] | None) -> AffineSubspace:
+def _restrict_rows(
+    S: AffineSubspace, u: GFVector, extra: tuple[int, int] | None
+) -> AffineSubspace | gf2core._Outcome:
     """Re-express S's constraints (plus an optional extra row) inside {x.u=0}.
 
     The pivot coordinate is the lowest set bit p of u; on the hyperplane
     x_p equals the parity of the remaining u-coordinates, so rows touching
-    p absorb u first and coordinate p is then deleted.
+    p absorb u first and coordinate p is then deleted.  Returns the reduced
+    codim-d system in F_2^(n-1), or EMPTY / DEGENERATE as _reduce_augmented.
     """
     p = (u.bits & -u.bits).bit_length() - 1
     rows = [(v, (S.rhs >> i) & 1) for i, v in enumerate(S.normals)]
@@ -201,10 +199,7 @@ def _restrict_rows(S: AffineSubspace, u: GFVector, extra: tuple[int, int] | None
         if (v >> p) & 1:
             v ^= u.bits
         out.append(_delete_coordinate(v, p) | (c << (S.n - 1)))
-    got = gf2core._reduce_augmented(out, S.n - 1, S.d)
-    if not isinstance(got, AffineSubspace):
-        raise AssertionError("restriction produced an inconsistent or rank-deficient system")
-    return got
+    return gf2core._reduce_augmented(out, S.n - 1, S.d)
 
 
 def _first_split_normal(S: AffineSubspace) -> int:
@@ -223,19 +218,18 @@ def _classify(S: AffineSubspace, u: GFVector):
     """One entry's fate under restriction to {x.u=0}.
 
     Returns ('discard', ()) for subspaces missing the hyperplane,
-    ('split', (T0, T1)) for subspaces inside it, ('keep', (T,)) otherwise.
+    ('split', (T0, T1)) for subspaces inside it, ('keep', (T,)) otherwise:
+    inside {x.u=0}, S's own rows are inconsistent, of rank d-1, or of full
+    rank in those three cases.  A split adds a row outside S's span, which
+    restores rank d on either side.
     """
-    probe = gf2core.canonicalize(
-        [GFVector(v, S.n) for v in S.normals] + [u],
-        [(S.rhs >> i) & 1 for i in range(S.d)] + [0],
-    )
-    if probe is EMPTY:
+    T = _restrict_rows(S, u, None)
+    if T is EMPTY:
         return "discard", ()
-    if probe is DEGENERATE:
+    if T is DEGENERATE:
         w = _first_split_normal(S)
-        halves = tuple(_restrict_rows(S, u, (w, b)) for b in (0, 1))
-        return "split", halves
-    return "keep", (_restrict_rows(S, u, None),)
+        return "split", tuple(_restrict_rows(S, u, (w, b)) for b in (0, 1))
+    return "keep", (T,)
 
 
 def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:

@@ -249,11 +249,6 @@ def solution_bits(S: AffineSubspace) -> list[int]:
     return out
 
 
-def enumerate_points(S: AffineSubspace) -> list[GFVector]:
-    """The 2^(n-d) points of S in increasing bit-mask order."""
-    return [GFVector(b, S.n) for b in sorted(solution_bits(S))]
-
-
 def point_mask(S: AffineSubspace) -> int:
     """Characteristic mask over all 2^n points: bit x set iff x is in S."""
     mask = 0
@@ -278,24 +273,22 @@ def count_subspaces(n: int, d: int) -> int:
     return gaussian_binomial(n, d) << d
 
 
-def enumerate_subspaces(n: int, d: int, limit: int | None = None) -> list[AffineSubspace]:
-    """All codim-d affine subspaces of F_2^n, deduplicated, in canonical order.
+def linear_systems(n: int, d: int) -> list[tuple[int, ...]]:
+    """The reduced normal rows of every codim-d linear subspace of F_2^n, sorted.
 
-    Generates one reduced row echelon system per linear subspace (pivot
-    columns chosen, remaining cells free) and attaches every right-hand
-    side, so the count is GaussianBinomial(n,d)_2 * 2^d by construction.
-    Canonical order sorts by normals before rhs, so the 2^d cosets of one
-    linear subspace sit together, rhs ascending: member (j << d) | r is
-    coset r of the j-th linear subspace.  The solver's pool index relies
-    on this block order.
+    One reduced row echelon system per choice of pivot columns and free
+    cells, so the count is GaussianBinomial(n,d)_2 by construction.  Refuses
+    when the affine pool, 2^d cosets per system, would exceed
+    SUBSPACE_ENUM_LIMIT.
     """
     _check_dim(n)
     if not 1 <= d <= n:
         raise ValueError(f"codimension {d} outside 1..{n}")
     total = count_subspaces(n, d)
-    cap = SUBSPACE_ENUM_LIMIT if limit is None else limit
-    if total > cap:
-        raise ValueError(f"enumeration of {total} subspaces exceeds the limit of {cap}")
+    if total > SUBSPACE_ENUM_LIMIT:
+        raise ValueError(
+            f"enumeration of {total} subspaces exceeds the limit of {SUBSPACE_ENUM_LIMIT}"
+        )
     systems: list[tuple[int, ...]] = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
@@ -310,8 +303,17 @@ def enumerate_subspaces(n: int, d: int, limit: int | None = None) -> list[Affine
             systems.append(tuple(rows))
     # Normals fit in 3 bytes, so int tuple order is canonical_bytes order.
     systems.sort()
+    return systems
+
+
+def enumerate_subspaces(n: int, d: int) -> list[AffineSubspace]:
+    """All codim-d affine subspaces of F_2^n, deduplicated, in canonical order.
+
+    Canonical order sorts by normals before rhs, so member (j << d) | r is
+    coset rhs=r of linear_systems(n, d)[j].
+    """
     return [
         AffineSubspace(n=n, d=d, normals=rows, rhs=rhs)
-        for rows in systems
+        for rows in linear_systems(n, d)
         for rhs in range(1 << d)
     ]

@@ -1,15 +1,18 @@
 """Depth-first branch-and-bound for minimum multiplicity covers.
 
-The pool is every codimension-d affine subspace of F_2^n; a search state
-is a multiset over the pool.  What the search reads of it is bit-sliced
-by need: one mask per level j of the points still needing at least j
-more copies, so placing a member is k mask operations, not a loop over
-its points.  Branching follows deficient points: pick the worst
-uncovered point, try each of its usable coverers in turn, and forbid a
-tried coverer in the later siblings, so no multiset is reached twice.
-Closed forms and the construction families shortcut the search
-whenever the root bounds already meet, so real branching only happens on
-cells where exhaustive search is the only known proof.
+The pool is every codimension-d affine subspace of F_2^n, numbered by
+construction: member (j << d) | r is coset rhs=r of the j-th linear
+system of gf2core.linear_systems, and only a certificate's members are
+ever built as AffineSubspace objects.  A search state is a multiset over
+the pool.  What the search reads of it is bit-sliced by need: one mask
+per level j of the points still needing at least j more copies, so
+placing a member is k mask operations, not a loop over its points.
+Branching follows deficient points: pick the worst uncovered point, try
+each of its usable coverers in turn, and forbid a tried coverer in the
+later siblings, so no multiset is reached twice.  Closed forms and the
+construction families shortcut the search whenever the root bounds
+already meet, so real branching only happens on cells where exhaustive
+search is the only known proof.
 
 f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
 so every call searches its origin window one exact count s at a time.
@@ -25,12 +28,7 @@ from .bounds import ParameterError, _check_problem, exact_thm_a, lb_origin_at_le
 from .codes import golay_cover
 from .constructions import diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, coverage_counts
-from .gf2core import (
-    AffineSubspace,
-    GFVector,
-    enumerate_subspaces,
-    point_subspace,
-)
+from .gf2core import AffineSubspace, GFVector, linear_systems, point_subspace
 
 STATUSES = ("optimal", "feasible", "infeasible", "unknown")
 
@@ -92,17 +90,17 @@ def _cosets(full: int, odd: list[int]) -> list[int]:
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
-    A call builds at most one of these: the pool, each member's bit mask
-    over the points, and per point the bit set of members through it,
-    once, in time linear in the pool: one linear subspace's 2^d cosets at
-    a time.  run(s, limit) searches origin count exactly s.  A search
-    state is a few ints: lev[j-1] masks the points that still need at
-    least j more copies (the origin sits at levels 1..s only, every other
-    point at 1..k), and the usable subset of the pool is one int.  Adding
-    a member with point mask M lowers each level j by the points of M
-    whose need is exactly j, with no per-point loop; undo is keeping the
-    parent's ints.  nodes counts across runs, so max_nodes bounds the
-    whole call.
+    A call builds at most one of these: each member's bit mask over the
+    points and per point the bit set of members through it, once, in time
+    linear in the pool: one linear system's 2^d cosets at a time, so member
+    (j << d) | r is coset r of systems[j] and member(i) decodes it.
+    run(s, limit) searches origin count exactly s.  A search state is a
+    few ints: lev[j-1] masks the points that still need at least j more
+    copies (the origin sits at levels 1..s only, every other point at
+    1..k), and the usable subset of the pool is one int.  Adding a member
+    with point mask M lowers each level j by the points of M whose need is
+    exactly j, with no per-point loop; undo is keeping the parent's ints.
+    nodes counts across runs, so max_nodes bounds the whole call.
     """
 
     def __init__(
@@ -118,7 +116,8 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
-        self.pool = pool = enumerate_subspaces(n, d)
+        self.systems = systems = linear_systems(n, d)
+        size = len(systems) << d
         npts = 1 << n
         self.npts = npts
         block = 1 << d
@@ -127,18 +126,13 @@ class _Search:
         for c in range(n):
             high = _every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c)
             odd += [x ^ high for x in odd]
-        # qbits[t][c]: bit j << d set iff row t of linear subspace j has bit c
-        qbits = [[bytearray((len(pool) + 7) >> 3) for _ in range(n)] for _ in range(d)]
+        # qbits[t][c]: bit j << d set iff row t of systems[j] has bit c
+        qbits = [[bytearray((size + 7) >> 3) for _ in range(n)] for _ in range(d)]
         self.masks: list[int] = []
-        # Canonical order keeps the 2^d cosets of one linear subspace
-        # together, rhs ascending: member (j << d) | r is coset r of block j.
-        for lo in range(0, len(pool), block):
+        for j, head in enumerate(systems):
             if deadline is not None and time.monotonic() > deadline:
                 raise _BudgetExhausted
-            members = pool[lo:lo + block]
-            head = members[0].normals
-            if [(S.normals, S.rhs) for S in members] != [(head, r) for r in range(block)]:
-                raise AssertionError(f"pool members {lo}.. are not one coset block")
+            lo = j << d
             for t, u in enumerate(head):
                 for c in range(n):
                     if (u >> c) & 1:
@@ -149,7 +143,7 @@ class _Search:
         # of them alive.  p lies in coset r of block j iff bit j << d of
         # Q_t(p) is bit t of r for every t.
         qcol = [[int.from_bytes(b, "little") for b in row] for row in qbits]
-        every = _every(block, len(pool))
+        every = _every(block, size)
         q = [0] * d
         self.coverer_masks = [0] * npts
         for g in range(npts):
@@ -163,13 +157,18 @@ class _Search:
         # forces origin count == size <= k-1 < k, too few to cover any
         # nonzero point k times.  GL(n,2) is transitive on origin-avoiding
         # codim-d subspaces and fixes the origin count, so every run
-        # preplaces one canonical representative.
-        self.root = self.pool.index(
-            AffineSubspace(n=n, d=d, normals=tuple(1 << j for j in range(d)), rhs=1)
-        )
+        # preplaces one canonical representative: systems[0] is the least
+        # tuple, e_1..e_d, and member 1 is its coset with rhs 1 (x_1 = 1,
+        # x_2 = ... = x_d = 0).
+        self.root = 1
         self.nodes = 0
         self.cov_shift = n - d
         self.cov = 1 << (n - d)
+
+    def member(self, i: int) -> AffineSubspace:
+        """Pool member i: coset rhs = i mod 2^d of systems[i >> d]."""
+        d = self.d
+        return AffineSubspace(self.n, d, self.systems[i >> d], i & ((1 << d) - 1))
 
     def run(self, s: int, limit: int) -> None:
         """Search origin count exactly s for covers of size <= limit."""
@@ -179,9 +178,9 @@ class _Search:
         self.best_size: int | None = None
         self.best_mult: list[int] | None = None
         self.dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
-        self.mult = [0] * len(self.pool)
+        self.mult = [0] * len(self.masks)
         self.mult[root] = 1
-        usable = (1 << len(self.pool)) - 1
+        usable = (1 << len(self.masks)) - 1
         if s == 0:
             usable &= ~self.origin_pool
         if k == 1:
@@ -280,7 +279,7 @@ class _Search:
                 self._node(child, def_total - (M & dm).bit_count(), size + 1, cu)
             # else the direction table proves the subtree empty
             mult[i] -= 1
-            # exclusion: later siblings may not use pool[i] at all
+            # exclusion: later siblings may not use member i at all
             usable ^= 1 << i
 
 
@@ -362,10 +361,9 @@ def _certificate(search: _Search) -> Cover:
     """The best cover of the last run, re-verified; raises if the search was wrong."""
     if search.best_mult is None:
         raise AssertionError("search kept no cover to certify")
-    entries = [
-        (search.pool[i], m) for i, m in enumerate(search.best_mult) if m > 0
-    ]
-    C = Cover.from_entries(entries)
+    C = Cover.from_entries(
+        (search.member(i), m) for i, m in enumerate(search.best_mult) if m > 0
+    )
     counts = coverage_counts(C)
     if not _fits(counts, search.k, search.s, search.s):
         raise AssertionError(

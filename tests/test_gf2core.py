@@ -13,7 +13,6 @@ from f2cover.gf2core import (
     canonicalize,
     count_subspaces,
     dot,
-    enumerate_points,
     enumerate_subspaces,
     gaussian_binomial,
     hyperplane,
@@ -99,11 +98,6 @@ def test_enumerate_subspaces_complete_and_distinct(n, d):
 def test_enumerate_subspaces_in_canonical_order(n, d):
     pool = enumerate_subspaces(n, d)
     assert pool == sorted(pool, key=AffineSubspace.canonical_bytes)
-
-
-def test_enumerate_points_matches_bits():
-    S = hyperplane(GFVector(0b11, 2), 0)
-    assert sorted(v.bits for v in enumerate_points(S)) == [0b00, 0b11]
 
 
 def test_subspace_builder_rejects_improper_systems():

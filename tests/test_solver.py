@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -14,8 +16,7 @@ import f2cover
 from f2cover.bounds import g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
-from f2cover.gf2core import enumerate_subspaces, solution_bits
-from f2cover import solver
+from f2cover.gf2core import AffineSubspace, enumerate_subspaces, solution_bits
 from f2cover.solver import STATUSES, _Search, decide, solve_g, solve_min
 
 
@@ -156,6 +157,23 @@ def test_origin_cap_node_count_is_pinned():
 
 
 @pytest.mark.parametrize(
+    "call,digest",
+    [
+        (lambda: decide(6, 3, 3, 25, s=0),
+         "0e80603911eaad4e9a304f5f84ffa2d23ee2e8e9054d9e80b69d38f5d5fb3472"),
+        (lambda: solve_g(4, 4, 1, 1),
+         "76e08172a961cb0a53862e9526d52638bfdd216329a91fe6fdd6221186265ee3"),
+    ],
+    ids=["decide633", "g4411"],
+)
+def test_result_documents_are_pinned(call, digest):
+    # The whole to_json() document, certificate bytes included: a change in
+    # how members are numbered or decoded shows here.
+    text = json.dumps(call().to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "call,args",
     [
         (solve_g, (4, 3, 1, 0)),
@@ -198,8 +216,12 @@ INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), 
 @pytest.mark.parametrize("n,d", INDEX_CELLS)
 def test_pool_index_matches_naive_incidence(n, d):
     search = _Search(n, 2, d, False, None, None)
-    members = [list(filter(S.contains_bits, range(1 << n))) for S in search.pool]
-    assert [sorted(solution_bits(S)) for S in search.pool] == members
+    pool = enumerate_subspaces(n, d)
+    # certificates decode member indices through member(i)
+    assert [search.member(i) for i in range(len(pool))] == pool
+    assert pool[search.root] == AffineSubspace(n, d, tuple(1 << j for j in range(d)), 1)
+    members = [list(filter(S.contains_bits, range(1 << n))) for S in pool]
+    assert [sorted(solution_bits(S)) for S in pool] == members
     assert search.masks == [sum(1 << x for x in xs) for xs in members]
     # coverer_masks[x] bit i: member i contains x (as a '0'/'1' string, high bit first)
     through = [bytearray(b"0" * len(members)) for _ in range(1 << n)]
@@ -207,16 +229,6 @@ def test_pool_index_matches_naive_incidence(n, d):
         for x in xs:
             through[x][i] = ord("1")
     assert search.coverer_masks == [int(row[::-1], 2) for row in through]
-
-
-@pytest.mark.parametrize("a,b", [(0, 1), (1, 2)])
-def test_pool_index_rejects_cosets_out_of_order(monkeypatch, a, b):
-    # (0, 1) swaps the two cosets of one hyperplane; (1, 2) mixes two blocks
-    pool = enumerate_subspaces(3, 1)
-    pool[a], pool[b] = pool[b], pool[a]
-    monkeypatch.setattr(solver, "enumerate_subspaces", lambda n, d: pool)
-    with pytest.raises(AssertionError, match="coset block"):
-        _Search(3, 2, 1, False, None, None)
 
 
 def test_time_budget_bounds_pool_build():
@@ -278,7 +290,7 @@ def test_certificate_check_survives_python_O():
             raise SystemExit("not running under -O")
         pool = enumerate_subspaces(3, 1)
         wrong = SimpleNamespace(
-            pool=pool, best_mult=[1] + [0] * (len(pool) - 1), k=2, s=1
+            member=pool.__getitem__, best_mult=[1] + [0] * (len(pool) - 1), k=2, s=1
         )
         try:
             _certificate(wrong)
