@@ -21,12 +21,14 @@ class ParameterError(ValueError):
     """A problem parameter out of range: a usage error, not a negative answer."""
 
 
-def _check_problem(n: int, k: int | None, d: int) -> None:
-    """Reject d outside 1..n and, unless k is None, k below 1."""
+def _check_problem(n: int, k: int | None, d: int, s: int | None = None) -> None:
+    """Reject d outside 1..n, k (unless None) below 1 and s (unless None) outside 0..k-1."""
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
     if k is not None and k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
+    if s is not None and not 0 <= s <= k - 1:
+        raise ParameterError(f"need 0 <= s <= k-1, got s={s}, k={k}")
 
 
 def _linear_value(n: int, k: int, d: int) -> int:
@@ -52,9 +54,7 @@ def _thm_bc_rule(n: int, k: int, d: int) -> tuple[str, str, int] | None:
 
 def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
     """Incidence-count lower bound 2^d k - floor((k-s) / 2^(n-d)) on g(n,k,d;s)."""
-    _check_problem(n, None, d)
-    if not 0 <= s < k:
-        raise ValueError(f"need 0 <= s < k, got s={s}, k={k}")
+    _check_problem(n, k, d, s)
     return (k << d) - ((k - s) >> (n - d))
 
 
@@ -134,9 +134,7 @@ def lb_g_restriction(n: int, k: int, d: int, s: int) -> int:
     forced to k(2^d - 1) + s exactly.  At s = k-1 this meets
     g_smax_formula, which is tight.
     """
-    _check_problem(n, None, d)
-    if not 0 <= s < k:
-        raise ValueError(f"need 0 <= s <= k-1, got s={s}, k={k}")
+    _check_problem(n, k, d, s)
     return k * ((1 << d) - 1) + s + (n - d)
 
 
@@ -336,7 +334,7 @@ def propagate(
     exceed its upper bounds, which signals a wrong anchor.
     """
     if n_max < d or k_max < 1:
-        raise ValueError(f"empty rectangle: n_max={n_max}, k_max={k_max}, d={d}")
+        raise ParameterError(f"empty rectangle: n_max={n_max}, k_max={k_max}, d={d}")
     cells = [(n, k) for n in range(d, n_max + 1) for k in range(1, k_max + 1)]
     rows = {(n, k): _closed_form_rules(n, k, d) for n, k in cells}
     n_closed = {cell: len(r) for cell, r in rows.items()}  # anchor rows follow

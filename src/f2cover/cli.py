@@ -3,7 +3,7 @@
 Machine output is JSON on stdout; the human summary is one line on stderr.
 Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
 rule not applicable), 2 usage error (bad flags, or n, k, d, s or size out of
-range), 3 budget exhausted.
+range), 3 budget exhausted (solve then still emits the best cover it found).
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
 F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.  A
@@ -112,7 +112,12 @@ def _budgets(args: argparse.Namespace) -> tuple[int | None, float | None]:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
+    _require(args.seed is None or family == "gv", "--seed is for --family gv only")
+    _require(args.d == 1 or family not in ("golay", "diag", "gv"),
+             f"--family {family} is d=1 only")
     if family == "golay":
+        _require(args.n in (None, 12) and args.k in (None, 8),
+                 "golay fixes n = 12 and k = 8")
         C = golay_cover()
     elif family == "diag":
         _require(args.k is not None, "--family diag needs --k")
@@ -122,8 +127,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _require(args.n is not None and args.k is not None,
                  f"--family {family} needs --n and --k")
         if family == "gv":
-            _require(args.d == 1, "--family gv is d=1 only")
-            C = gv_random_cover(args.n, args.k, seed=args.seed)
+            C = gv_random_cover(args.n, args.k, seed=args.seed or 0)
         elif family == "thma":
             C = thm_a_cover(args.n, args.k, args.d)
         elif family == "l31":
@@ -192,9 +196,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     n, k, d = args.n, args.k, args.d
-    _check_problem(n, k, d)
-    if args.s is not None:
-        _require(0 <= args.s <= k - 1, "need 0 <= s <= k-1")
+    _check_problem(n, k, d, args.s)
     rules = _closed_form_rules(n, k, d, args.s)
     if args.rule is not None:
         rules = [r for r in rules if r[0] == args.rule]
@@ -248,12 +250,13 @@ def _solver_kwargs(args: argparse.Namespace) -> dict:
     return {"max_nodes": nodes, "max_seconds": seconds, "extra_seed": extra}
 
 
-def _emit_solve(result, label: str, args: argparse.Namespace) -> int:
+def _emit_solve(result, label: str, args: argparse.Namespace, minimising: bool) -> int:
     _emit(result.to_json(), args.out)
     value = "-" if result.value is None else str(result.value)
     _say(f"{label}: {result.status} value={value} nodes={result.nodes} "
          f"proof_lo={result.proof_lo}")
-    if result.status == "unknown":
+    # a minimising call ends 'feasible' only when a budget stopped it
+    if result.status == "unknown" or (minimising and result.status == "feasible"):
         return EXIT_BUDGET
     if result.status == "infeasible":
         return EXIT_NEGATIVE
@@ -273,7 +276,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             assume_high_origin=args.assume_high_origin, **kw,
         )
         label = f"f({args.n},{args.k},{args.d})"
-    return _emit_solve(result, label, args)
+    return _emit_solve(result, label, args, minimising=True)
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
@@ -282,7 +285,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         args.s = args.k - 1
     result = decide(args.n, args.k, args.d, args.size, s=args.s, **kw)
     label = f"exists size <= {args.size} at ({args.n},{args.k},{args.d})"
-    return _emit_solve(result, label, args)
+    return _emit_solve(result, label, args, minimising=False)
 
 
 def _add_io(p: argparse.ArgumentParser, reads: bool = True) -> None:
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for --family gv")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for --family gv (default 0)")
     _add_io(p, reads=False)
     p.set_defaults(func=_cmd_construct)
 

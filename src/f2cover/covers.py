@@ -247,6 +247,9 @@ def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:
     for S, mult in C.entries:
         _, pieces = _classify(S, u)
         out.extend((T, mult) for T in pieces)
+    if not out:
+        raise ValueError(f"the restriction to {{x.u=0}}, u={u.bits:#x}, is empty: "
+                         "every entry misses the hyperplane")
     return Cover.from_entries(out)
 
 

@@ -39,11 +39,13 @@ class SolveResult:
 
     'optimal' means value is the proved minimum for the stated origin
     window; 'feasible' means a cover of this size was found but smaller
-    ones are not excluded; 'infeasible' means the search space was
-    exhausted with nothing inside the limit; 'unknown' means a budget ran
-    out before anything was found.  assumptions lists any origin-window
-    restriction the proof is conditional on; proof_lo is the closed-form
-    lower bound established at the root.
+    ones are not excluded (when minimising, only a budget stop leaves
+    that: the result is then the best cover found); 'infeasible' means
+    the search space was exhausted with nothing inside the limit;
+    'unknown' means a budget ran out before anything was found.  Every
+    certificate is re-verified before it is returned.  assumptions lists
+    any origin-window restriction the proof is conditional on; proof_lo
+    is the closed-form lower bound established at the root.
     """
 
     status: str
@@ -359,8 +361,6 @@ def _best_seed(
 
 def _certificate(search: _Search) -> Cover:
     """The best cover of the last run, re-verified; raises if the search was wrong."""
-    if search.best_mult is None:
-        raise AssertionError("search kept no cover to certify")
     C = Cover.from_entries(
         (search.member(i), m) for i, m in enumerate(search.best_mult) if m > 0
     )
@@ -374,14 +374,10 @@ def _certificate(search: _Search) -> Cover:
 
 
 def _window(
-    k: int, s: int | None, assume_high_origin: bool
+    k: int, s: int | None, assume_high_origin: bool = False
 ) -> tuple[int, int, tuple[str, ...]]:
     """The origin window [s_min, s_max] of one call and the assumptions it adds."""
     if s is not None:
-        if assume_high_origin:
-            raise ParameterError("fixed s and assume_high_origin are exclusive")
-        if not 0 <= s <= k - 1:
-            raise ParameterError(f"need 0 <= s <= k-1, got s={s}, k={k}")
         return s, s, ()
     if assume_high_origin and k >= 2:
         return k - 2, k - 1, ("origin_count >= k-2",)
@@ -403,27 +399,22 @@ def _drive(
     lo = lb_origin_at_least(n, k, d, s_min)
     seed = _best_seed(n, k, d, s_min, s_max, extra_seed)
     deciding = cap is not None
-
+    if deciding and seed is not None and seed.size <= cap:
+        return SolveResult("feasible", seed.size, seed, 0, lo, assumptions)
     if deciding:
-        if seed is not None and seed.size <= cap:
-            return SolveResult("feasible", seed.size, seed, 0, lo, assumptions)
-        if lo > cap:
-            return SolveResult("infeasible", None, None, 0, lo, assumptions)
-        limit = cap
+        best, limit = None, cap
     else:
-        if seed is not None:
-            if seed.size == lo:
-                return SolveResult("optimal", seed.size, seed, 0, lo, assumptions)
-            limit = seed.size - 1
-        else:
-            limit = 1 << 60
-    best = None if deciding else seed
+        best, limit = seed, (1 << 60 if seed is None else seed.size - 1)
 
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     # The window splits by exact origin count; each single-s subproblem
     # carries much tighter direction tables than the window as a whole.
-    # High s first: the known good covers sit at s >= k-2.  The pool is
-    # built only once some s survives its root bound.
+    # High s first: the known good covers sit at s >= k-2.  An s whose
+    # root bound is over the limit is skipped, and lb_origin_at_least is
+    # nondecreasing in s, so a root closure (a seed of size lo, or lo above
+    # the cap) skips them all and builds no pool.  After every run, also
+    # one a budget stopped, the run's best cover is certified and lowers
+    # the limit; the status table below is the only place a status is set.
     search: _Search | None = None
     exhausted = True
     for s in range(s_max, s_min - 1, -1):
@@ -438,12 +429,11 @@ def _drive(
             search.run(s, limit)
         except _BudgetExhausted:
             exhausted = False
-            break
-        if search.best_size is not None:
+        if search is not None and search.best_mult is not None:
             best = _certificate(search)
-            if deciding:
-                break
             limit = best.size - 1
+        if not exhausted or (deciding and best is not None):
+            break
 
     nodes = search.nodes if search else 0
     if best is None:
@@ -487,8 +477,8 @@ def solve_g(
     extra_seed: Cover | None = None,
 ) -> SolveResult:
     """Minimise cover size at origin count exactly s."""
-    _check_problem(n, k, d)
-    window = _window(k, s, False)
+    _check_problem(n, k, d, s)
+    window = _window(k, s)
     return _drive(n, k, d, window, None, max_nodes, max_seconds, extra_seed)
 
 
@@ -499,7 +489,6 @@ def decide(
     size: int,
     *,
     s: int | None = None,
-    assume_high_origin: bool = False,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
     extra_seed: Cover | None = None,
@@ -511,8 +500,8 @@ def decide(
     deciding at or above a construction size returns immediately
     whatever n is.
     """
-    _check_problem(n, k, d)
+    _check_problem(n, k, d, s)
     if size < 0:
         raise ParameterError(f"need size >= 0, got {size}")
-    window = _window(k, s, assume_high_origin)
+    window = _window(k, s)
     return _drive(n, k, d, window, size, max_nodes, max_seconds, extra_seed)

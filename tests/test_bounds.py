@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from f2cover.bounds import (
     Anchor,
     LedgerContradiction,
+    ParameterError,
     all_points_value,
     anchors_from_json,
     bounds_thm_bc,
@@ -101,6 +102,13 @@ def test_descent_floor_meets_smax_formula(n, k, data):
     values = [lb_g_restriction(n, k, d, s) for s in range(k)]
     assert values == sorted(values)
     assert len(set(values)) == k
+
+
+@pytest.mark.parametrize("rule", [lb_double_count, lb_g_restriction])
+@pytest.mark.parametrize("s", [-1, 3])
+def test_origin_count_out_of_range_is_a_parameter_error(rule, s):
+    with pytest.raises(ParameterError, match=rf"need 0 <= s <= k-1, got s={s}, k=3"):
+        rule(4, 3, 1, s)
 
 
 def test_misc_exact_values():

@@ -58,6 +58,25 @@ def test_construct_missing_params_is_usage(capsys):
     assert run(["construct", "--family", "diag", "--k", "5", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "diag", "--k", "5", "--d", "3"],
+    ["--family", "golay", "--n", "5"],
+    ["--family", "golay", "--k", "3"],
+    ["--family", "golay", "--d", "2"],
+    ["--family", "smax", "--n", "4", "--k", "2", "--seed", "7"],
+    ["--family", "diag", "--k", "5", "--seed", "0"],
+])
+def test_construct_flag_the_family_ignores_is_usage(capsys, flags):
+    assert run(["construct", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err
+
+
+def test_construct_flags_that_agree_with_the_family(capsys):
+    assert run(["construct", "--family", "golay", "--n", "12", "--k", "8"]) == 0
+    assert run(["construct", "--family", "gv", "--n", "4", "--k", "2", "--seed", "3"]) == 0
+
+
 def test_golay_code_pipeline(capsys, monkeypatch):
     assert run(["code", "golay"]) == 0
     code_doc, _ = _out(capsys)
@@ -96,6 +115,16 @@ def test_restrict_zero_normal_is_negative(capsys, monkeypatch):
     C = gv_random_cover(4, 2, seed=9)
     _feed(monkeypatch, C.to_json())
     assert run(["restrict", "--normal", "0x0"]) == 1
+
+
+def test_restrict_to_nothing_names_the_empty_restriction(capsys, monkeypatch):
+    # the one entry x.1 = 1 misses the hyperplane x.1 = 0
+    _feed(monkeypatch, {"n": 2, "d": 1, "entries": [
+        {"subspace": {"normals": ["0x1"], "rhs": "0b1", "n": 2}, "mult": 3}
+    ]})
+    assert run(["restrict", "--normal", "0x1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is empty" in captured.err
 
 
 def test_bound_cell_report(capsys):
@@ -138,6 +167,11 @@ def test_table_formats(capsys):
     assert captured.out.startswith("| n\\k |")
 
 
+def test_table_empty_rectangle_is_usage(capsys):
+    assert run(["table", "--nmax", "4", "--kmax", "0"]) == 2
+    assert "empty rectangle" in capsys.readouterr().err
+
+
 def test_table_anchor_file_and_contradiction(tmp_path, capsys):
     good = tmp_path / "extra.json"
     good.write_text(json.dumps({"anchors": [
@@ -169,6 +203,13 @@ def test_solve_fixed_origin_flags(capsys):
     assert run(["solve", "--n", "4", "--k", "2", "--s", "0"]) == 0
     doc, _ = _out(capsys)
     assert doc["value"] == 5
+
+
+def test_solve_stopped_by_a_budget_exits_3_with_its_best_cover(capsys):
+    assert run(["solve", "--n", "5", "--k", "4", "--budget-nodes", "1000"]) == 3
+    doc, err = _out(capsys)
+    assert doc["status"] == "feasible" and doc["value"] == 10
+    assert doc["certificate"]["entries"] and "feasible value=10" in err
 
 
 def test_decide_exit_codes(capsys):

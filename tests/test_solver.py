@@ -105,8 +105,6 @@ def test_decide_fixed_origin_window():
     assert open_window.status == "feasible"
     with pytest.raises(ValueError):
         decide(2, 2, 1, 3, s=2)
-    with pytest.raises(ValueError):
-        decide(2, 2, 1, 3, s=1, assume_high_origin=True)
 
 
 def test_golay_cell_decides_from_seed():
@@ -241,14 +239,54 @@ def test_time_budget_bounds_pool_build():
 
 @pytest.mark.parametrize(
     "max_nodes,status,nodes",
-    [(0, "unknown", 0), (10, "unknown", 11), (47, "unknown", 48), (48, "optimal", 48)],
+    [
+        (0, "unknown", 0),
+        (5, "unknown", 6),
+        (10, "feasible", 11),
+        (47, "feasible", 48),
+        (48, "optimal", 48),
+    ],
 )
 def test_node_budget_accounting(max_nodes, status, nodes):
     # A run that needs 48 nodes: the node past the budget is counted, and a
-    # budget of exactly 48 is enough.
+    # budget of exactly 48 is enough.  A budget stop keeps the run's best
+    # cover, certified.
     result = solve_g(4, 3, 1, 0, max_nodes=max_nodes)
     assert (result.status, result.nodes) == (status, nodes)
-    assert result.value == (7 if status == "optimal" else None)
+    assert result.value == {"unknown": None, "feasible": 8, "optimal": 7}[status]
+    if status == "feasible":
+        report = verify(result.certificate, 3)
+        assert report.is_cover_for(3) and report.origin_count == 0
+        assert result.certificate.size == 8
+
+
+def test_budget_stop_keeps_the_incumbent():
+    # No construction fits s=0 here, and 200,000 nodes prove nothing, but
+    # the run holds a size-10 cover when the budget ends it.
+    result = solve_g(6, 3, 1, 0, max_nodes=200000)
+    assert (result.status, result.value, result.nodes) == ("feasible", 10, 200001)
+    report = verify(result.certificate, 3)
+    assert report.is_cover_for(3) and report.origin_count == 0
+    assert result.certificate.size == 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decide(3, 3, 1, 6),  # a seed fits the cap
+        lambda: decide(3, 3, 1, 5),  # the root bound is over the cap
+        lambda: solve_min(3, 3, 1),  # a seed meets the root bound
+        lambda: solve_min(5, 4, 1, assume_high_origin=True),
+    ],
+    ids=["decide-seed", "decide-lo", "min-seed", "min-high"],
+)
+def test_root_closures_build_no_pool(monkeypatch, call):
+    def refuse(self, *args):
+        raise AssertionError("a root-closed call built the pool")
+
+    monkeypatch.setattr(_Search, "__init__", refuse)
+    result = call()
+    assert result.nodes == 0 and result.status in ("optimal", "feasible", "infeasible")
 
 
 def test_extra_seed_is_validated_and_used():
