@@ -16,19 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-
-class ParameterError(ValueError):
-    """A problem parameter out of range: a usage error, not a negative answer."""
-
-
-def _check_problem(n: int, k: int | None, d: int, s: int | None = None) -> None:
-    """Reject d outside 1..n, k (unless None) below 1 and s (unless None) outside 0..k-1."""
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if k is not None and k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    if s is not None and not 0 <= s <= k - 1:
-        raise ParameterError(f"need 0 <= s <= k-1, got s={s}, k={k}")
+from .gf2core import ParameterError, _check_problem, _json_int
 
 
 def _linear_value(n: int, k: int, d: int) -> int:
@@ -191,13 +179,13 @@ def anchors_from_json(doc: dict) -> tuple[Anchor, ...]:
     out = []
     for item in doc["anchors"]:
         if "value" in item:
-            lo = hi = int(item["value"])
+            lo = hi = _json_int(item, "value")
         else:
-            lo = int(item["lo"]) if "lo" in item else None
-            hi = int(item["hi"]) if "hi" in item else None
+            lo = _json_int(item, "lo") if "lo" in item else None
+            hi = _json_int(item, "hi") if "hi" in item else None
         out.append(
             Anchor(
-                n=int(item["n"]), k=int(item["k"]), d=int(item["d"]),
+                n=_json_int(item, "n"), k=_json_int(item, "k"), d=_json_int(item, "d"),
                 lo=lo, hi=hi, source=str(item.get("source", "anchor")),
             )
         )

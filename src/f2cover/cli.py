@@ -2,8 +2,9 @@
 
 Machine output is JSON on stdout; the human summary is one line on stderr.
 Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
-rule not applicable), 2 usage error (bad flags, or n, k, d, s or size out of
-range), 3 budget exhausted (solve then still emits the best cover it found).
+rule not applicable), 2 usage error (bad flags; n, k, d, s or size out of
+range; n above 24 for construct, solve and decide), 3 budget exhausted
+(solve then still emits the best cover it found).
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
 F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.  A
@@ -22,8 +23,6 @@ import sys
 
 from .bounds import (
     LedgerContradiction,
-    ParameterError,
-    _check_problem,
     _closed_form_rules,
     anchors_from_json,
     bundled_search_anchors,
@@ -46,13 +45,12 @@ from .constructions import (
     thm_a_cover,
 )
 from .covers import (
-    Cover,
     cover_from_json,
     restrict_to_hyperplane,
     restriction_census,
     verify,
 )
-from .gf2core import GFVector
+from .gf2core import MAX_DIMENSION, GFVector, ParameterError, _check_problem
 from .solver import decide, solve_g, solve_min
 
 EXIT_OK = 0
@@ -65,8 +63,9 @@ def _say(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+def _emit(doc: dict | str, path: str | None) -> None:
+    """Write a JSON document, or a text as it is, to path or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
     if path is None:
         print(text)
     else:
@@ -81,9 +80,17 @@ def _read_doc(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _parse_mask(text: str) -> int:
+def _mask(text: str) -> int:
     # Accepts the document forms: 0x.. hex, 0b.. binary, or plain decimal.
     return int(text, 0)
+
+
+def _dimension(text: str) -> int:
+    # construct, solve and decide build points of F_2^n; bound and table do not
+    n = int(text)
+    if n > MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"ambient dimension {n} above {MAX_DIMENSION}")
+    return n
 
 
 def _require(cond: bool, message: str) -> None:
@@ -158,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
     C = cover_from_json(_read_doc(args.infile))
-    u = GFVector(_parse_mask(args.normal), C.n)
+    u = GFVector(args.normal, C.n)
     x, y = restriction_census(C, u)
     R = restrict_to_hyperplane(C, u)
     _emit(R.to_json(), args.out)
@@ -228,15 +235,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     except LedgerContradiction as exc:
         _say(f"bound contradiction: {exc}")
         return EXIT_NEGATIVE
-    if args.format == "json":
-        _emit(ledger.to_json(), args.out)
-    else:
-        text = format_table(ledger, args.format)
-        if args.out is None:
-            print(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+    _emit(ledger.to_json() if args.format == "json" else format_table(ledger, args.format),
+          args.out)
     exact = sum(1 for e in ledger.cells.values() if e.exact)
     _say(f"{len(ledger.cells)} cells, {exact} exact, {len(anchors)} anchors")
     return EXIT_OK
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a named construction as cover JSON")
     p.add_argument("--family", required=True,
                    choices=("thma", "l31", "smax", "diag", "gv", "golay"))
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_dimension, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="RNG seed for --family gv (default 0)")
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("restrict", help="restrict a cover to a linear hyperplane")
-    p.add_argument("--normal", required=True, metavar="MASK",
+    p.add_argument("--normal", type=_mask, required=True, metavar="MASK",
                    help="nonzero normal vector, e.g. 0x5")
     _add_io(p)
     p.set_defaults(func=_cmd_restrict)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("solve", help="minimise cover size, exact branch and bound")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     g = p.add_mutually_exclusive_group()
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("decide", help="does a cover of the given size exist")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--size", type=int, required=True)

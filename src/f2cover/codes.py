@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2core
-from .constructions import ConstructionTag
-from .covers import Cover
-from .gf2core import GFVector, hyperplane
+from .covers import ConstructionTag, Cover
+from .gf2core import GFVector, _json_int, hyperplane
 
 CODE_FORMAT_VERSION = 1
 
@@ -62,7 +61,7 @@ def code_from_json(doc: dict) -> LinearCode:
     if doc.get("version", CODE_FORMAT_VERSION) != CODE_FORMAT_VERSION:
         raise ValueError(f"unsupported code document version {doc.get('version')!r}")
     rows = tuple(int(s, 0) for s in doc["rows"])
-    return LinearCode(dim=int(doc["dim"]), length=int(doc["length"]), rows=rows)
+    return LinearCode(dim=_json_int(doc, "dim"), length=_json_int(doc, "length"), rows=rows)
 
 
 def code_from_cover(C: Cover) -> LinearCode:

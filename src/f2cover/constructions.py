@@ -10,52 +10,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
-from . import gf2core
 from .bounds import bounds_thm_bc, exact_thm_a, g_smax_formula
-from .covers import Cover, add_parallel_pair, verify
-from .gf2core import AffineSubspace, GFVector, basis_vector, hyperplane, ones_vector, point_subspace
-
-TAG_NAMES = frozenset(
-    {"ThmA", "Lemma31", "ReduceD", "Lift", "SMax", "Diagonal", "GolayCover", "GVRandom", "ParallelPad"}
-)
+from .covers import ConstructionTag, Cover, verify
+from .gf2core import AffineSubspace, GFVector, _check_problem, basis_vector, hyperplane, ones_vector
+from .gf2core import point_subspace
 
 # Random draws gv_random_cover makes before it gives up.
 GV_MAX_TRIES = 200
-
-
-@dataclass(frozen=True)
-class ConstructionTag:
-    """Provenance marker recorded on constructed covers."""
-
-    name: str
-    n: int | None = None
-    k: int | None = None
-    d: int | None = None
-    s: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in TAG_NAMES:
-            raise ValueError(f"unknown construction tag {self.name!r}")
-
-    def to_json(self) -> dict:
-        doc: dict = {"name": self.name}
-        for key in ("n", "k", "d", "s"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ConstructionTag":
-        return cls(
-            name=doc["name"],
-            n=doc.get("n"),
-            k=doc.get("k"),
-            d=doc.get("d"),
-            s=doc.get("s"),
-        )
 
 
 def _checked(C: Cover, k: int, tag: ConstructionTag, expect_size: int | None = None) -> Cover:
@@ -188,6 +150,14 @@ def lift(C: Cover) -> Cover:
     return Cover.from_entries(entries, tag=tag)
 
 
+def _points_cover(n: int, k: int, s: int) -> Cover:
+    """k copies of every nonzero point of F_2^n and s of the origin: a (k,n;s)-cover."""
+    entries = [(point_subspace(GFVector(v, n)), k) for v in range(1, 1 << n)]
+    if s:
+        entries.append((point_subspace(GFVector(0, n)), s))
+    return Cover.from_entries(entries)
+
+
 def smax_cover(n: int, k: int, d: int) -> Cover:
     """(k,d;k-1)-cover of size n + 2^d k - d - 1, extremal at origin count k-1.
 
@@ -195,12 +165,7 @@ def smax_cover(n: int, k: int, d: int) -> Cover:
     origin; each unit of extra ambient dimension is one lift.
     """
     size = g_smax_formula(n, k, d)
-    entries: list[tuple[AffineSubspace, int]] = [
-        (point_subspace(GFVector(v, d)), k) for v in range(1, 1 << d)
-    ]
-    if k > 1:
-        entries.append((point_subspace(GFVector(0, d)), k - 1))
-    out = Cover.from_entries(entries)
+    out = _points_cover(d, k, k - 1)
     for _ in range(n - d):
         out = lift(out)
     return _checked(
@@ -235,9 +200,7 @@ def gv_random_cover(n: int, k: int, seed: int = 0) -> Cover:
     uniform nonzero normals; after every GV_MAX_TRIES/4 failures m grows by
     one.  Deterministic for a fixed seed; raises after GV_MAX_TRIES failures.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    gf2core._check_dim(n)
+    _check_problem(n, k, 1)
     rng = random.Random(seed)
     m = n + math.ceil((k - 1) * math.log2(2 * n))
     patience = GV_MAX_TRIES // 4

@@ -1,7 +1,9 @@
 """Cover multisets over F_2^n, exhaustive (k,d;s) verification, restriction.
 
 A Cover is a multiset of codim-d affine subspaces in a common ambient
-dimension.  verify() counts coverage of every point by full enumeration;
+dimension, optionally tagged with the construction that built it.
+verify() counts coverage of every point by full enumeration, and
+CoverReport.is_cover_for() is the one test of a (k,d;s)-cover;
 restrict_to_hyperplane() performs the discard/split/intersect surgery that
 drops the ambient dimension by one while preserving surviving coverage.
 """
@@ -11,15 +13,39 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from . import gf2core
-from .gf2core import EMPTY, DEGENERATE, AffineSubspace, GFVector
-
-if TYPE_CHECKING:
-    from .constructions import ConstructionTag
+from .gf2core import EMPTY, DEGENERATE, AffineSubspace, GFVector, _check_problem, _json_int
 
 COVER_FORMAT_VERSION = 1
+
+TAG_NAMES = frozenset(
+    {"ThmA", "Lemma31", "ReduceD", "Lift", "SMax", "Diagonal", "GolayCover", "GVRandom", "ParallelPad"}
+)
+
+
+@dataclass(frozen=True)
+class ConstructionTag:
+    """Provenance marker recorded on constructed covers."""
+
+    name: str
+    n: int | None = None
+    k: int | None = None
+    d: int | None = None
+    s: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.name not in TAG_NAMES:
+            raise ValueError(f"unknown construction tag {self.name!r}")
+
+    def to_json(self) -> dict:
+        return {key: value for key, value in vars(self).items() if value is not None}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> ConstructionTag:
+        params = {key: _json_int(doc, key) for key in ("n", "k", "d", "s") if key in doc}
+        return cls(name=doc["name"], **params)
 
 
 @dataclass(frozen=True)
@@ -33,14 +59,14 @@ class Cover:
     n: int
     d: int
     entries: tuple[tuple[AffineSubspace, int], ...]
-    tag: "ConstructionTag | None" = field(default=None, compare=False)
+    tag: ConstructionTag | None = field(default=None, compare=False)
 
     @classmethod
     def from_entries(
         cls,
         entries: Iterable[tuple[AffineSubspace, int]],
-        tag: "ConstructionTag | None" = None,
-    ) -> "Cover":
+        tag: ConstructionTag | None = None,
+    ) -> Cover:
         merged: dict[AffineSubspace, int] = {}
         n = d = None
         for S, mult in entries:
@@ -64,7 +90,7 @@ class Cover:
     def size(self) -> int:
         return sum(mult for _, mult in self.entries)
 
-    def with_tag(self, tag: "ConstructionTag | None") -> "Cover":
+    def with_tag(self, tag: ConstructionTag | None) -> Cover:
         return Cover(n=self.n, d=self.d, entries=self.entries, tag=tag)
 
     def to_json(self) -> dict:
@@ -85,15 +111,11 @@ def cover_from_json(doc: dict) -> Cover:
     if doc.get("version", COVER_FORMAT_VERSION) != COVER_FORMAT_VERSION:
         raise ValueError(f"unsupported cover document version {doc.get('version')!r}")
     entries = [
-        (gf2core.subspace_from_json(e["subspace"]), int(e["mult"])) for e in doc["entries"]
+        (gf2core.subspace_from_json(e["subspace"]), _json_int(e, "mult")) for e in doc["entries"]
     ]
-    tag = None
-    if "tag" in doc:
-        from .constructions import ConstructionTag
-
-        tag = ConstructionTag.from_json(doc["tag"])
+    tag = ConstructionTag.from_json(doc["tag"]) if "tag" in doc else None
     cover = Cover.from_entries(entries, tag=tag)
-    if (cover.n, cover.d) != (int(doc["n"]), int(doc["d"])):
+    if (cover.n, cover.d) != (_json_int(doc, "n"), _json_int(doc, "d")):
         raise ValueError("cover document header disagrees with its entries")
     return cover
 
@@ -109,8 +131,12 @@ class CoverReport:
     max_nonzero: int
     profile_checksum: str
 
-    def is_cover_for(self, k: int) -> bool:
-        return self.min_nonzero >= k and self.origin_count <= k - 1
+    def is_cover_for(self, k: int, s_min: int = 0, s_max: int | None = None) -> bool:
+        """Every nonzero point covered >= k times, the origin s_min..s_max times
+        (s_max defaults to k-1)."""
+        if s_max is None:
+            s_max = k - 1
+        return self.min_nonzero >= k and s_min <= self.origin_count <= s_max
 
     def to_json(self) -> dict:
         return {
@@ -151,8 +177,7 @@ def profile_checksum(counts: list[int]) -> str:
 
 def verify(C: Cover, k: int = 1) -> CoverReport:
     """Exact coverage report; C is a (k,d)-cover iff report.is_cover_for(k)."""
-    if k < 1:
-        raise ValueError(f"multiplicity k={k} below 1")
+    _check_problem(C.n, k, C.d)
     counts = coverage_counts(C)
     nonzero = counts[1:]
     return CoverReport(
@@ -232,6 +257,13 @@ def _classify(S: AffineSubspace, u: GFVector):
     return "keep", (T,)
 
 
+def _check_restriction(C: Cover, u: GFVector) -> None:
+    if u.n != C.n or u.bits == 0:
+        raise ValueError("restriction normal must be a nonzero vector of the ambient dimension")
+    if C.d >= C.n:
+        raise ValueError("cannot restrict a cover by points (d=n)")
+
+
 def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:
     """Restrict the cover to the hyperplane {x : x.u = 0}, re-indexed to F_2^(n-1).
 
@@ -239,10 +271,7 @@ def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:
     in it split into two codim-d pieces, the rest are intersected; coverage
     of every surviving point is unchanged.
     """
-    if u.n != C.n or u.bits == 0:
-        raise ValueError("restriction normal must be a nonzero vector of the ambient dimension")
-    if C.d >= C.n:
-        raise ValueError("cannot restrict a cover by points (d=n)")
+    _check_restriction(C, u)
     out: list[tuple[AffineSubspace, int]] = []
     for S, mult in C.entries:
         _, pieces = _classify(S, u)
@@ -255,10 +284,7 @@ def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:
 
 def restriction_census(C: Cover, u: GFVector) -> tuple[int, int]:
     """Multiset sizes (|X|, |Y|) of discarded and split entries under u."""
-    if u.n != C.n or u.bits == 0:
-        raise ValueError("restriction normal must be a nonzero vector of the ambient dimension")
-    if C.d >= C.n:
-        raise ValueError("cannot restrict a cover by points (d=n)")
+    _check_restriction(C, u)
     x_weight = y_weight = 0
     for S, mult in C.entries:
         fate, _ = _classify(S, u)

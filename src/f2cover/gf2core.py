@@ -30,6 +30,28 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"ambient dimension {n} outside 1..{MAX_DIMENSION}")
 
 
+class ParameterError(ValueError):
+    """A problem parameter out of range: a usage error, not a negative answer."""
+
+
+def _check_problem(n: int, k: int | None, d: int, s: int | None = None) -> None:
+    """Reject d outside 1..n, k (unless None) below 1 and s (unless None) outside 0..k-1."""
+    if not 1 <= d <= n:
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if k is not None and k < 1:
+        raise ParameterError(f"need k >= 1, got {k}")
+    if s is not None and not 0 <= s <= k - 1:
+        raise ParameterError(f"need 0 <= s <= k-1, got s={s}, k={k}")
+
+
+def _json_int(doc: dict, key: str) -> int:
+    """doc[key], refused unless it is a JSON integer (not a float, string or bool)."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class GFVector:
     """A vector of F_2^n; bit i of `bits` is coordinate x_{i+1}."""
@@ -117,21 +139,12 @@ class AffineSubspace:
             if (u & seen) != (u & -u):
                 raise ValueError("system not in reduced row echelon form")
 
-    @property
-    def dim(self) -> int:
-        return self.n - self.d
-
     def contains_bits(self, x: int) -> bool:
         rhs = self.rhs
         for i, u in enumerate(self.normals):
             if ((x & u).bit_count() ^ (rhs >> i)) & 1:
                 return False
         return True
-
-    def contains(self, x: GFVector) -> bool:
-        if x.n != self.n:
-            raise ValueError(f"dimension mismatch: point has n={x.n}, subspace n={self.n}")
-        return self.contains_bits(x.bits)
 
     def canonical_bytes(self) -> bytes:
         """Stable byte encoding; lexicographic order on these is the canonical subspace order."""
@@ -149,7 +162,7 @@ class AffineSubspace:
 
 
 def subspace_from_json(doc: dict) -> AffineSubspace:
-    n = int(doc["n"])
+    n = _json_int(doc, "n")
     normals = [int(s, 0) for s in doc["normals"]]
     rhs = int(doc["rhs"], 0)
     got = canonicalize([GFVector(u, n) for u in normals], [(rhs >> i) & 1 for i in range(len(normals))])

@@ -24,11 +24,11 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .bounds import ParameterError, _check_problem, exact_thm_a, lb_origin_at_least
+from .bounds import exact_thm_a, lb_origin_at_least
 from .codes import golay_cover
-from .constructions import diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
-from .covers import Cover, coverage_counts
-from .gf2core import AffineSubspace, GFVector, linear_systems, point_subspace
+from .constructions import _points_cover, diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
+from .covers import Cover, verify
+from .gf2core import AffineSubspace, ParameterError, _check_problem, count_subspaces, linear_systems
 
 STATUSES = ("optimal", "feasible", "infeasible", "unknown")
 
@@ -102,7 +102,8 @@ class _Search:
     1..k), and the usable subset of the pool is one int.  Adding a member
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
-    nodes counts across runs, so max_nodes bounds the whole call.
+    nodes counts across runs, so max_nodes bounds the whole call.  A pool
+    whose index would pass 512 MiB is refused before anything is built.
     """
 
     def __init__(
@@ -118,6 +119,10 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
+        # the member masks and the coverer masks each hold pool << n bits
+        pool = count_subspaces(n, d)
+        if pool << n > 1 << 32:
+            raise ValueError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
         self.systems = systems = linear_systems(n, d)
         size = len(systems) << d
         npts = 1 << n
@@ -150,6 +155,8 @@ class _Search:
         self.coverer_masks = [0] * npts
         for g in range(npts):
             if g:
+                if deadline is not None and (g & 255) == 0 and time.monotonic() > deadline:
+                    raise _BudgetExhausted
                 c = (g & -g).bit_length() - 1
                 q = [qt ^ qcol[t][c] for t, qt in enumerate(q)]
             cosets = _cosets(every, q)
@@ -177,7 +184,6 @@ class _Search:
         n, k, npts, root = self.n, self.k, self.npts, self.root
         self.s = s
         self.limit = limit
-        self.best_size: int | None = None
         self.best_mult: list[int] | None = None
         self.dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
         self.mult = [0] * len(self.masks)
@@ -211,7 +217,6 @@ class _Search:
         ):
             raise _BudgetExhausted
         if def_total == 0:
-            self.best_size = size
             self.best_mult = list(self.mult)
             if self.stop_at_first:
                 raise _FoundWitness
@@ -313,18 +318,6 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     return table
 
 
-def _points_cover(n: int, k: int, s: int) -> Cover:
-    entries = [(point_subspace(GFVector(v, n)), k) for v in range(1, 1 << n)]
-    if s:
-        entries.append((point_subspace(GFVector(0, n)), s))
-    return Cover.from_entries(entries)
-
-
-def _fits(counts: list[int], k: int, s_min: int, s_max: int) -> bool:
-    """Coverage counts of a k-cover whose origin count lies in [s_min, s_max]."""
-    return min(counts[1:]) >= k and s_min <= counts[0] <= s_max
-
-
 def _best_seed(
     n: int, k: int, d: int, s_min: int, s_max: int, extra: Cover | None
 ) -> Cover | None:
@@ -354,7 +347,7 @@ def _best_seed(
 
     best: Cover | None = None
     for C in candidates:
-        if _fits(coverage_counts(C), k, s_min, s_max) and (best is None or C.size < best.size):
+        if verify(C, k).is_cover_for(k, s_min, s_max) and (best is None or C.size < best.size):
             best = C
     return best
 
@@ -364,11 +357,11 @@ def _certificate(search: _Search) -> Cover:
     C = Cover.from_entries(
         (search.member(i), m) for i, m in enumerate(search.best_mult) if m > 0
     )
-    counts = coverage_counts(C)
-    if not _fits(counts, search.k, search.s, search.s):
+    report = verify(C, search.k)
+    if not report.is_cover_for(search.k, search.s, search.s):
         raise AssertionError(
-            f"search certificate failed verification: min coverage {min(counts[1:])}, "
-            f"origin {counts[0]}, need k={search.k}, s={search.s}"
+            f"search certificate failed verification: min coverage {report.min_nonzero}, "
+            f"origin {report.origin_count}, need k={search.k}, s={search.s}"
         )
     return C
 

@@ -225,3 +225,16 @@ def test_ledger_json_shape():
     assert doc["d"] == 1
     assert len(doc["cells"]) == 6
     assert {"lo", "hi", "lo_provenance", "hi_provenance"} <= doc["cells"][0].keys()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("value", 9.9), ("value", "10"), ("n", 5.0), ("k", True), ("d", 1.0), ("lo", 9.5), ("hi", "11")],
+)
+def test_anchor_integers_are_strict(key, value):
+    # int(9.9) would have pinned f(5,4,1) at 9, below the paper's 10
+    item = {"n": 5, "k": 4, "d": 1, "source": "byhand"}
+    item.update({"value": 10} if key in ("n", "k", "d", "value") else {"lo": 9, "hi": 11})
+    item[key] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        anchors_from_json({"anchors": [item]})

@@ -287,3 +287,80 @@ def test_out_file_writing(tmp_path, capsys):
                 "--out", str(target)]) == 0
     doc = json.loads(target.read_text())
     assert doc["n"] == 4
+
+
+def test_decide_at_the_top_origin_count(capsys):
+    # g(4,2,1;1) = n + 2k - 2 = 6
+    assert run(["decide", "--n", "4", "--k", "2", "--size", "6", "--s-max"]) == 0
+    doc, _ = _out(capsys)
+    assert doc["status"] == "feasible" and doc["value"] == 6
+    assert run(["decide", "--n", "4", "--k", "2", "--size", "5", "--s-max"]) == 1
+    doc, _ = _out(capsys)
+    assert doc["status"] == "infeasible"
+
+
+def test_construct_lemma31(capsys, monkeypatch):
+    # n + 2k - 3 hyperplanes with origin count k-2
+    assert run(["construct", "--family", "l31", "--n", "5", "--k", "3"]) == 0
+    doc, err = _out(capsys)
+    assert doc["tag"] == {"name": "Lemma31", "n": 5, "k": 3, "d": 1}
+    assert "size=8 s=1 min_nonzero=3" in err
+    _feed(monkeypatch, doc)
+    assert run(["verify", "--k", "3"]) == 0
+
+
+def test_table_markdown_to_a_file(tmp_path, capsys):
+    # the file holds what stdout would show
+    assert run(["table", "--nmax", "4", "--kmax", "4"]) == 0
+    shown = capsys.readouterr().out
+    target = tmp_path / "table.md"
+    assert run(["table", "--nmax", "4", "--kmax", "4", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == shown and shown.startswith("| n\\k |")
+
+
+def test_verify_k_below_one_is_usage(capsys, monkeypatch):
+    _feed(monkeypatch, gv_random_cover(3, 2, seed=1).to_json())
+    assert run(["verify", "--k", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need k >= 1, got 0" in err
+
+
+def test_unparsable_normal_is_usage(capsys, monkeypatch):
+    _feed(monkeypatch, gv_random_cover(4, 2, seed=9).to_json())
+    assert run(["restrict", "--normal", "zz"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--normal" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "smax", "--n", "25", "--k", "2"],
+    ["solve", "--n", "30", "--k", "3"],
+    ["decide", "--n", "30", "--k", "3", "--size", "40"],
+])
+def test_dimension_above_the_cap_is_usage(capsys, argv):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ambient dimension" in err
+
+
+def test_bound_takes_any_dimension(capsys):
+    # the closed forms hold for every n; Theorem C meets Lemma 3.1 here
+    assert run(["bound", "--n", "30", "--k", "3"]) == 0
+    doc, _ = _out(capsys)
+    assert (doc["lo"], doc["hi"]) == (33, 33)
+
+
+def test_non_integer_document_fields_are_negative(tmp_path, capsys, monkeypatch):
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps({"anchors": [
+        {"n": 5, "k": 4, "d": 1, "value": 9.9, "source": "byhand"}
+    ]}))
+    assert run(["table", "--nmax", "5", "--kmax", "4", "--anchors", str(anchors)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+    doc = gv_random_cover(3, 2, seed=1).to_json()
+    doc["entries"][0]["mult"] = 2.9
+    _feed(monkeypatch, doc)
+    assert run(["verify", "--k", "2"]) == 1
+    assert "must be an integer" in capsys.readouterr().err

@@ -124,3 +124,11 @@ def test_golay_cover_profile():
     assert report.is_cover_for(8)
     assert report.origin_count == 0
     assert C.tag.name == "GolayCover"
+
+
+@pytest.mark.parametrize("key,value", [("dim", 12.0), ("length", "24"), ("dim", True)])
+def test_code_document_integers_are_strict(key, value):
+    doc = golay_generator().to_json()
+    doc[key] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        code_from_json(doc)

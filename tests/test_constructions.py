@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from f2cover.constructions import (
     ConstructionTag,
+    _points_cover,
     diagonal_cover,
     gv_random_cover,
     lemma31_cover,
@@ -15,6 +16,7 @@ from f2cover.constructions import (
     thm_a_cover,
 )
 from f2cover.covers import coverage_counts, verify
+from f2cover.gf2core import ParameterError
 
 
 def test_tag_json_roundtrip():
@@ -137,3 +139,16 @@ def test_gv_random_cover_is_seed_deterministic(n, k, seed):
 def test_gv_random_cover_varies_with_seed():
     draws = {gv_random_cover(5, 3, seed=s).entries for s in range(6)}
     assert len(draws) > 1
+
+
+def test_gv_multiplicity_below_one_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="need k >= 1, got 0"):
+        gv_random_cover(4, 0)
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (2, 3), (3, 2)])
+def test_smax_base_case_is_the_points_cover(d, k):
+    # n = d: k copies of every nonzero point and k-1 of the origin
+    C = smax_cover(d, k, d)
+    assert C.entries == _points_cover(d, k, k - 1).entries
+    assert C.size == k * ((1 << d) - 1) + k - 1

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from f2cover.constructions import ConstructionTag, gv_random_cover, smax_cover
+from f2cover.covers import ConstructionTag as TagFromCovers
 from f2cover.covers import (
     Cover,
     add_parallel_pair,
@@ -17,7 +18,7 @@ from f2cover.covers import (
     restriction_census,
     verify,
 )
-from f2cover.gf2core import GFVector, enumerate_subspaces, hyperplane
+from f2cover.gf2core import GFVector, ParameterError, enumerate_subspaces, hyperplane
 
 
 def _entries(n, d, picks):
@@ -181,3 +182,48 @@ def test_verify_rejects_bad_k():
     C = smax_cover(3, 2, 1)
     with pytest.raises(ValueError):
         verify(C, 0)
+
+
+def test_is_cover_for_origin_window():
+    # smax_cover(3, 3, 1) covers every nonzero point 3 times and the origin twice
+    report = verify(smax_cover(3, 3, 1), 3)
+    assert (report.min_nonzero, report.origin_count) == (3, 2)
+    assert report.is_cover_for(3) and report.is_cover_for(3, 2, 2)
+    assert report.is_cover_for(3, 1) and report.is_cover_for(3, 0, 2)
+    assert not report.is_cover_for(3, 0, 1)
+    assert not report.is_cover_for(3, 3, 3)
+    assert not report.is_cover_for(4, 2, 2)
+
+
+def test_verify_k_below_one_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="need k >= 1, got 0"):
+        verify(smax_cover(3, 2, 1), 0)
+
+
+def test_tag_lives_in_covers():
+    assert ConstructionTag is TagFromCovers
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("entries", 0, "mult"), 2.9),
+        (("entries", 0, "mult"), True),
+        (("entries", 0, "mult"), "2"),
+        (("n",), 3.0),
+        (("d",), "1"),
+        (("entries", 0, "subspace", "n"), 3.5),
+        (("tag", "k"), 2.0),
+        (("tag", "s"), False),
+    ],
+)
+def test_cover_document_integers_are_strict(path, value):
+    # a non-integer count loaded as int() would silently change the cover
+    doc = smax_cover(3, 2, 1).to_json()
+    assert cover_from_json(doc).size == 5
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        cover_from_json(doc)

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,8 @@ from f2cover.bounds import g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import AffineSubspace, enumerate_subspaces, solution_bits
-from f2cover.solver import STATUSES, _Search, decide, solve_g, solve_min
+from f2cover import solver as solver_module
+from f2cover.solver import STATUSES, _BudgetExhausted, _Search, decide, solve_g, solve_min
 
 
 def brute_min(n, k, d, s_min=0, s_max=None):
@@ -341,3 +343,40 @@ def test_certificate_check_survives_python_O():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pool_index_too_large_is_refused():
+    # 524,286 subspaces over 2^18 points: each index table would need
+    # 16 GiB.  The address-space cap turns a regressed guard into a
+    # MemoryError here instead of a machine out of memory.
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from f2cover.solver import solve_g
+        try:
+            solve_g(18, 3, 1, 0)
+        except ValueError as exc:
+            assert "would pass 512 MiB" in str(exc), exc
+            raise SystemExit(0)
+        raise SystemExit("the pool index was built")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(f2cover.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_gray_code_walk_watches_the_clock(monkeypatch):
+    # (10,10) is one linear system, so the system loop reads the clock
+    # once; any later read that stops the build is in the 1,024-point walk.
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 2.0
+
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(_BudgetExhausted):
+        _Search(10, 1, 10, False, 1.0, None)
+    assert len(reads) == 2
