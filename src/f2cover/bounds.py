@@ -465,8 +465,9 @@ def format_table(
     k_lo: int | None = None,
     k_hi: int | None = None,
 ) -> str:
-    """Render a rectangle of the ledger; asterisks mark cells equal to the
-    linear upper-bound formula, intervals appear as lo..hi."""
+    """Render a rectangle of the ledger, one line a row with no newline
+    after the last; asterisks mark cells equal to the linear upper-bound
+    formula, intervals appear as lo..hi."""
     d = ledger.d
     n_a = max(ledger.n_range[0], n_lo if n_lo is not None else ledger.n_range[0])
     n_b = min(ledger.n_range[1], n_hi if n_hi is not None else ledger.n_range[1])
@@ -480,10 +481,10 @@ def format_table(
     if fmt == "csv":
         lines = ["n\\k," + ",".join(str(k) for k in ks)]
         lines += [f"{n}," + ",".join(texts) for n, texts in rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
     if fmt == "md":
         lines = ["| n\\k | " + " | ".join(str(k) for k in ks) + " |"]
         lines.append("|" + " --- |" * (len(ks) + 1))
         lines += ["| " + " | ".join([str(n)] + texts) + " |" for n, texts in rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
     raise ValueError(f"unknown table format {fmt!r}")

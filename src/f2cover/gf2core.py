@@ -52,6 +52,16 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _json_mask(value) -> int:
+    """A bit mask written as a JSON string: "0x1b", "0b11011" or "27".
+
+    A JSON number or any other type is a ValueError, like a malformed string.
+    """
+    if type(value) is not str:
+        raise ValueError(f"a mask must be a string such as '0x1b', got {value!r}")
+    return int(value, 0)
+
+
 @dataclass(frozen=True, order=True)
 class GFVector:
     """A vector of F_2^n; bit i of `bits` is coordinate x_{i+1}."""
@@ -163,8 +173,10 @@ class AffineSubspace:
 
 def subspace_from_json(doc: dict) -> AffineSubspace:
     n = _json_int(doc, "n")
-    normals = [int(s, 0) for s in doc["normals"]]
-    rhs = int(doc["rhs"], 0)
+    normals = [_json_mask(s) for s in doc["normals"]]
+    rhs = _json_mask(doc["rhs"])
+    if not 0 <= rhs < 1 << len(normals):
+        raise ValueError(f"rhs {doc['rhs']!r} does not fit {len(normals)} rows")
     got = canonicalize([GFVector(u, n) for u in normals], [(rhs >> i) & 1 for i in range(len(normals))])
     if not isinstance(got, AffineSubspace):
         raise ValueError(f"subspace document does not describe a proper subspace: {got!r}")

@@ -9,10 +9,13 @@ per level j of the points still needing at least j more copies, so
 placing a member is k mask operations, not a loop over its points.
 Branching follows deficient points: pick the worst uncovered point, try
 each of its usable coverers in turn, and forbid a tried coverer in the
-later siblings, so no multiset is reached twice.  Closed forms and the
-construction families shortcut the search whenever the root bounds
-already meet, so real branching only happens on cells where exhaustive
-search is the only known proof.
+later siblings, so no multiset is reached twice.  At d=1 only the first
+fresh coverer (normal outside the span of those placed) of each rhs is
+tried: the maps fixing the node make the others equivalent (orbital
+branching, see _Search).  Closed forms and the construction families
+shortcut the search whenever the root bounds already meet, so real
+branching only happens on cells where exhaustive search is the only
+known proof.
 
 f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
 so every call searches its origin window one exact count s at a time.
@@ -104,6 +107,20 @@ class _Search:
     exactly j, with no per-point loop; undo is keeping the parent's ints.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
+
+    At d=1 the search branches on orbits (Ostrowski et al., Math. Program.
+    126, 2011).  Let V span the normals placed so far, the root's e_1 too,
+    and G(V) be the maps in GL(n,2) fixing every functional in V.  G(V)
+    fixes each placed member, hence mult, the levels, the origin cap, the
+    direction table and usable, which only ever loses fixed members, the
+    origin pool and whole orbits.  It is transitive on the normals outside
+    V and keeps rhs, so the fresh members (normal not in V) form two
+    orbits, rhs 0 and rhs 1.  A node tries only the first fresh candidate i
+    of each side, then drops that side from usable: a g in G(V) with
+    g(j) = i carries a cover using a later one, j, to one of the same size
+    and origin count in i's subtree, and a direction-table prune of i
+    prunes its orbit.  self.span (V) and self.fresh follow the path; at
+    d >= 2 fresh is 0.
     """
 
     def __init__(
@@ -193,6 +210,10 @@ class _Search:
             usable &= ~self.origin_pool
         if k == 1:
             usable &= ~(1 << root)
+        # d=1 systems are (1,), (2,), ..., so normal u is members 2u-2, 2u-1
+        self.span = [0, 1]
+        self.fresh = (1 << len(self.masks)) - 4 if self.d == 1 else 0
+        self.sides = (_every(2, len(self.masks)), _every(2, len(self.masks)) << 1)
         # The preplaced member avoids the origin and each of its self.cov
         # points needs k, so it only lowers the top level; an emptied top
         # level is dropped.
@@ -271,7 +292,11 @@ class _Search:
         k = self.k
         mult = self.mult
         dir_lb = self.dir_lb
+        fresh, span = self.fresh, self.span
         for _, i in cands:
+            is_fresh = fresh >> i & 1
+            if is_fresh and not usable >> i & 1:
+                continue  # its orbit's representative came first
             mult[i] += 1
             # d=1 blocks are the two sides of one direction: member i | 1
             # avoids the origin and member i & -2 goes through it
@@ -283,11 +308,19 @@ class _Search:
                 cu = usable if mult[i] < k else usable ^ (1 << i)
                 if M & origin_last:
                     cu &= ~self.origin_pool
+                if is_fresh:
+                    grown = [v ^ ((i >> 1) + 1) for v in span]
+                    self.span = span + grown
+                    self.fresh = fresh & ~sum(3 << 2 * v - 2 for v in grown)
                 self._node(child, def_total - (M & dm).bit_count(), size + 1, cu)
-            # else the direction table proves the subtree empty
+                self.span, self.fresh = span, fresh
+            # else the direction table proves the subtree (and i's orbit) empty
             mult[i] -= 1
-            # exclusion: later siblings may not use member i at all
-            usable ^= 1 << i
+            # exclusion: later siblings may not use member i, or its orbit
+            if is_fresh:
+                usable &= ~(fresh & self.sides[i & 1])
+            else:
+                usable ^= 1 << i
 
 
 def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:

@@ -317,6 +317,9 @@ def test_table_markdown_to_a_file(tmp_path, capsys):
     assert run(["table", "--nmax", "4", "--kmax", "4", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == shown and shown.startswith("| n\\k |")
+    assert shown.endswith(" |\n") and not shown.endswith("\n\n")
+    assert run(["table", "--nmax", "4", "--kmax", "4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.endswith("\n4,4,5*,7*,8\n")
 
 
 def test_verify_k_below_one_is_usage(capsys, monkeypatch):
@@ -364,3 +367,21 @@ def test_non_integer_document_fields_are_negative(tmp_path, capsys, monkeypatch)
     _feed(monkeypatch, doc)
     assert run(["verify", "--k", "2"]) == 1
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["verify", "--k", "1"],
+         {"version": 1, "n": 2, "d": 1, "entries": [
+             {"subspace": {"normals": [1], "rhs": "0b1", "n": 2}, "mult": 1}]}),
+        (["code", "mindist"], {"version": 1, "dim": 3, "length": 1, "rows": [5]}),
+    ],
+    ids=["verify", "mindist"],
+)
+def test_integer_masks_in_documents_are_negative(capsys, monkeypatch, argv, doc):
+    # masks are written as strings ("0x1"); a JSON number is a malformed document
+    _feed(monkeypatch, doc)
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a mask must be a string")

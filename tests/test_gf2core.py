@@ -140,6 +140,14 @@ def test_subspace_json_roundtrip(n, d, data):
     assert subspace_from_json(doc) == S
 
 
+@pytest.mark.parametrize("field,value", [("rhs", "0b10"), ("rhs", "-1"), ("rhs", 1), ("normals", [1])])
+def test_subspace_json_masks_are_strict(field, value):
+    # masks are strings, and rhs holds one bit per row: nothing is truncated
+    doc = {"normals": ["0x1"], "rhs": "0b1", "n": 2, field: value}
+    with pytest.raises(ValueError):
+        subspace_from_json(doc)
+
+
 def test_affine_subspace_validation():
     with pytest.raises(ValueError):
         AffineSubspace(n=3, d=1, normals=(0,), rhs=0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -71,6 +72,42 @@ def test_fixed_origin_matches_blind_enumeration(n, k, s):
     assert result.value == expected
     if s == k - 1:
         assert result.value == g_smax_formula(n, k, 1)
+
+
+def milp_g(n, k, s):
+    """Least size of a hyperplane (k,1;s)-cover of F_2^n, as an integer
+    program over all affine hyperplanes solved by scipy's HiGHS milp."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    planes = [(u, c) for u in range(1, 1 << n) for c in (0, 1)]
+    incidence = np.array(
+        [[(p & u).bit_count() % 2 == c for u, c in planes] for p in range(1 << n)],
+        dtype=float,
+    )
+    lower = np.full(1 << n, float(k))
+    upper = np.full(1 << n, np.inf)
+    lower[0] = upper[0] = s
+    res = milp(
+        c=np.ones(len(planes)),
+        constraints=LinearConstraint(incidence, lower, upper),
+        integrality=np.ones(len(planes)),
+        bounds=Bounds(0, k),
+    )
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+ORACLE_CELLS = [(n, k, s) for n in range(1, 5) for k in range(1, 7) for s in range(k)]
+
+
+@pytest.mark.parametrize("n,k,s", ORACLE_CELLS)
+def test_fixed_origin_matches_highs(n, k, s):
+    # an oracle that shares no code with the solver; scipy is not a dependency
+    pytest.importorskip("scipy")
+    result = solve_g(n, k, 1, s)
+    assert result.status == "optimal"
+    assert result.value == milp_g(n, k, s)
 
 
 def test_certificates_verify_and_match_value():
@@ -153,7 +190,7 @@ def test_witness_scale_node_counts_are_pinned():
 def test_origin_cap_node_count_is_pinned():
     # s >= 1 at d=1: the origin cap and the direction table both prune here
     result = solve_g(4, 4, 1, 1)
-    assert (result.status, result.value, result.nodes) == ("optimal", 9, 14298)
+    assert (result.status, result.value, result.nodes) == ("optimal", 9, 451)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +199,7 @@ def test_origin_cap_node_count_is_pinned():
         (lambda: decide(6, 3, 3, 25, s=0),
          "0e80603911eaad4e9a304f5f84ffa2d23ee2e8e9054d9e80b69d38f5d5fb3472"),
         (lambda: solve_g(4, 4, 1, 1),
-         "76e08172a961cb0a53862e9526d52638bfdd216329a91fe6fdd6221186265ee3"),
+         "f6d1ea59b05818a284290cef8e9a5b467c85af19ca4a938d809f9ce270618433"),
     ],
     ids=["decide633", "g4411"],
 )
@@ -178,13 +215,15 @@ def test_result_documents_are_pinned(call, digest):
     [
         (solve_g, (4, 3, 1, 0)),
         (solve_g, (3, 6, 1, 1)),  # origin cap and direction table
+        (solve_g, (4, 4, 1, 1)),  # orbit exclusions at every depth
         (lambda *a: decide(*a, s=0), (4, 3, 2, 12)),
     ],
-    ids=["g4310", "g3611", "decide4312"],
+    ids=["g4310", "g3611", "g4411", "decide4312"],
 )
 def test_level_masks_match_a_recount(monkeypatch, call, args):
-    # At every node the level masks, the total need and the caps on the
-    # usable members must equal what a point-by-point recount of mult gives.
+    # At every node the level masks, the total need, the caps on the usable
+    # members and the fresh members (d=1: normal outside the span of the
+    # placed normals; d >= 2: none) must equal what a recount of mult gives.
     node = _Search._node
     visits = []
 
@@ -202,12 +241,82 @@ def test_level_masks_match_a_recount(monkeypatch, call, args):
         if counts[0] == self.s:
             capped |= self.origin_pool
         assert not usable & capped
+        fresh = 0
+        if self.d == 1:
+            normals = [self.member(i).normals[0] for i in range(len(self.masks))]
+            span = {0}
+            for u, m in zip(normals, self.mult):
+                if m:
+                    span |= {v ^ u for v in span}
+            fresh = sum(1 << i for i, u in enumerate(normals) if u not in span)
+        assert self.fresh == fresh
         visits.append(size)
         node(self, lev, def_total, size, usable)
 
     monkeypatch.setattr(_Search, "_node", checked)
     result = call(*args)
     assert len(visits) == result.nodes > 0
+
+
+def _parity(x: int) -> int:
+    return x.bit_count() & 1
+
+
+@functools.cache
+def _gl(n: int) -> list[list[int]]:
+    """Every invertible n x n matrix over F_2, as its table x -> Mx over the points."""
+    bases = [()]
+    for _ in range(n):
+        grown = []
+        for cols in bases:
+            span = {0}
+            for c in cols:
+                span |= {v ^ c for v in span}
+            grown += [cols + (c,) for c in range(1, 1 << n) if c not in span]
+        bases = grown
+    tables = []
+    for cols in bases:
+        image = [0] * (1 << n)
+        for x in range(1, 1 << n):
+            image[x] = image[x & (x - 1)] ^ cols[(x & -x).bit_length() - 1]
+        tables.append(image)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [(), (1,), (1, 2), (6, 9), (1, 2, 3), (3, 5, 6, 12), (1, 2, 4), (1, 2, 4, 8)],
+    ids=lambda normals: "V=" + ",".join(map(str, normals)),
+)
+def test_fresh_members_form_two_orbits(normals):
+    # The orbit claim behind the d=1 branching rule, by brute force over
+    # GL(4,2): the maps fixing every functional in V (u . Mx = u . x for all
+    # u in V) fix each hyperplane whose normal lies in span(V), and split
+    # the rest into exactly two orbits, rhs 0 and rhs 1.
+    n = 4
+    group = _gl(n)
+    assert len(group) == 20160
+    stab = [M for M in group if all(_parity(u & M[x]) == _parity(u & x)
+                                    for u in normals for x in range(1 << n))]
+    planes = {
+        (u, r): sum(1 << x for x in range(1 << n) if _parity(u & x) == r)
+        for u in range(1, 1 << n) for r in (0, 1)
+    }
+    named = {mask: plane for plane, mask in planes.items()}
+    orbits = set()
+    left = set(planes)
+    while left:
+        mask = planes[min(left)]
+        points = [x for x in range(1 << n) if mask >> x & 1]
+        orbit = frozenset(named[sum(1 << M[x] for x in points)] for M in stab)
+        orbits.add(orbit)
+        left -= orbit
+    span = {0}
+    for u in normals:
+        span |= {v ^ u for v in span}
+    fixed = {frozenset([(u, r)]) for u in span - {0} for r in (0, 1)}
+    fresh = {frozenset((u, r) for u in range(1, 1 << n) if u not in span) for r in (0, 1)}
+    assert orbits == fixed | (fresh - {frozenset()})
 
 
 INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), (7, 3)]
@@ -263,10 +372,10 @@ def test_node_budget_accounting(max_nodes, status, nodes):
 
 
 def test_budget_stop_keeps_the_incumbent():
-    # No construction fits s=0 here, and 200,000 nodes prove nothing, but
-    # the run holds a size-10 cover when the budget ends it.
-    result = solve_g(6, 3, 1, 0, max_nodes=200000)
-    assert (result.status, result.value, result.nodes) == ("feasible", 10, 200001)
+    # No construction fits s=0 here.  The run holds a size-10 cover after
+    # 11 nodes but needs 2,992 to prove it, so a budget of 1,000 stops it.
+    result = solve_g(6, 3, 1, 0, max_nodes=1000)
+    assert (result.status, result.value, result.nodes) == ("feasible", 10, 1001)
     report = verify(result.certificate, 3)
     assert report.is_cover_for(3) and report.origin_count == 0
     assert result.certificate.size == 10
