@@ -3,7 +3,7 @@
 Machine output is JSON on stdout; the human summary is one line on stderr.
 Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
 rule not applicable), 2 usage error (bad flags; n, k, d, s or size out of
-range; n above 24 for construct, solve and decide), 3 budget exhausted
+range; n above 20 for construct, solve and decide), 3 budget exhausted
 (solve then still emits the best cover it found).
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
@@ -50,7 +50,7 @@ from .covers import (
     restriction_census,
     verify,
 )
-from .gf2core import MAX_DIMENSION, GFVector, ParameterError, _check_problem
+from .gf2core import DIMENSION_LIMIT, GFVector, ParameterError, _check_problem
 from .solver import decide, solve_g, solve_min
 
 EXIT_OK = 0
@@ -88,8 +88,8 @@ def _mask(text: str) -> int:
 def _dimension(text: str) -> int:
     # construct, solve and decide build points of F_2^n; bound and table do not
     n = int(text)
-    if n > MAX_DIMENSION:
-        raise argparse.ArgumentTypeError(f"ambient dimension {n} above {MAX_DIMENSION}")
+    if n > DIMENSION_LIMIT:
+        raise argparse.ArgumentTypeError(f"ambient dimension {n} above {DIMENSION_LIMIT}")
     return n
 
 
@@ -176,6 +176,7 @@ def _cmd_restrict(args: argparse.Namespace) -> int:
 def _cmd_code(args: argparse.Namespace) -> int:
     action = args.action
     if action == "golay":
+        _require(args.infile is None, "code golay reads no input: drop --in")
         code = golay_generator()
         _emit(code.to_json(), args.out)
         _say(f"[{code.length},{code.dim}] generator emitted")

@@ -18,9 +18,6 @@ from .gf2core import GFVector, _json_int, _json_mask, hyperplane
 
 CODE_FORMAT_VERSION = 1
 
-# 2^dim - 1 messages are enumerated; past this the loop is unreasonable
-DISTANCE_DIM_CAP = 24
-
 
 @dataclass(frozen=True)
 class LinearCode:
@@ -98,8 +95,6 @@ def min_distance(code: LinearCode) -> int:
     Returns 0 when the rows do not span F_2^dim (some nonzero message maps
     to the zero codeword).
     """
-    if code.dim > DISTANCE_DIM_CAP:
-        raise ValueError(f"dimension {code.dim} above the enumeration cap {DISTANCE_DIM_CAP}")
     cols = [0] * code.dim
     for j, u in enumerate(code.rows):
         while u:

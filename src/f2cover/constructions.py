@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .bounds import bounds_thm_bc, exact_thm_a, g_smax_formula
+from .bounds import _linear_value, exact_thm_a, g_smax_formula
 from .covers import ConstructionTag, Cover, verify
 from .gf2core import AffineSubspace, GFVector, _check_problem, basis_vector, hyperplane, ones_vector
 from .gf2core import point_subspace
@@ -85,7 +85,8 @@ def lemma31_cover(n: int, k: int, d: int) -> Cover:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    _, size = bounds_thm_bc(n, k, d)
+    _check_problem(n, k, d)
+    size = _linear_value(n, k, d)
     m = n - d + 1
     entries: list[tuple[AffineSubspace, int]] = [
         (hyperplane(basis_vector(i, m), 1), 1) for i in range(1, m + 1)

@@ -227,18 +227,6 @@ def _restrict_rows(
     return gf2core._reduce_augmented(out, S.n - 1, S.d)
 
 
-def _first_split_normal(S: AffineSubspace) -> int:
-    """Lowest basis vector outside the row span of S's normals."""
-    for j in range(S.n):
-        r = 1 << j
-        for v in S.normals:
-            if r & (v & -v):
-                r ^= v
-        if r:
-            return 1 << j
-    raise AssertionError("full-rank normal system spans everything only when d=n")
-
-
 def _classify(S: AffineSubspace, u: GFVector):
     """One entry's fate under restriction to {x.u=0}.
 
@@ -252,7 +240,8 @@ def _classify(S: AffineSubspace, u: GFVector):
     if T is EMPTY:
         return "discard", ()
     if T is DEGENERATE:
-        w = _first_split_normal(S)
+        # in reduced rows, e_j lies in their span iff it is a row; d < n leaves one out
+        w = next(1 << j for j in range(S.n) if 1 << j not in S.normals)
         return "split", tuple(_restrict_rows(S, u, (w, b)) for b in (0, 1))
     return "keep", (T,)
 

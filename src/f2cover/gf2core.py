@@ -14,8 +14,7 @@ from typing import Sequence
 
 MAX_DIMENSION = 24
 
-# Operations that loop over all 2^n points refuse larger n unless the caller
-# raises this (never past MAX_DIMENSION).
+# Operations that loop over all 2^n points, and the CLI's --n, refuse larger n.
 DIMENSION_LIMIT = 20
 
 SUBSPACE_ENUM_LIMIT = 2_000_000
@@ -177,10 +176,7 @@ def subspace_from_json(doc: dict) -> AffineSubspace:
     rhs = _json_mask(doc["rhs"])
     if not 0 <= rhs < 1 << len(normals):
         raise ValueError(f"rhs {doc['rhs']!r} does not fit {len(normals)} rows")
-    got = canonicalize([GFVector(u, n) for u in normals], [(rhs >> i) & 1 for i in range(len(normals))])
-    if not isinstance(got, AffineSubspace):
-        raise ValueError(f"subspace document does not describe a proper subspace: {got!r}")
-    return got
+    return subspace([GFVector(u, n) for u in normals], [(rhs >> i) & 1 for i in range(len(normals))])
 
 
 def canonicalize(
@@ -244,8 +240,6 @@ def subspace(normals: Sequence[GFVector], rhs: Sequence[int]) -> AffineSubspace:
 
 def hyperplane(u: GFVector, c: int) -> AffineSubspace:
     """The hyperplane {x : x . u = c}; H_u of the covering problem is c=1."""
-    if u.bits == 0:
-        raise ValueError("hyperplane normal must be nonzero")
     return AffineSubspace(n=u.n, d=1, normals=(u.bits,), rhs=c & 1)
 
 

@@ -79,6 +79,10 @@ class _FoundWitness(Exception):
     pass
 
 
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 def _every(step: int, width: int) -> int:
     """Bits 0, step, 2*step, ... below width (a multiple of step)."""
     return ((1 << width) - 1) // ((1 << step) - 1)
@@ -154,7 +158,7 @@ class _Search:
         qbits = [[bytearray((size + 7) >> 3) for _ in range(n)] for _ in range(d)]
         self.masks: list[int] = []
         for j, head in enumerate(systems):
-            if deadline is not None and time.monotonic() > deadline:
+            if _past(deadline):
                 raise _BudgetExhausted
             lo = j << d
             for t, u in enumerate(head):
@@ -172,7 +176,7 @@ class _Search:
         self.coverer_masks = [0] * npts
         for g in range(npts):
             if g:
-                if deadline is not None and (g & 255) == 0 and time.monotonic() > deadline:
+                if (g & 255) == 0 and _past(deadline):
                     raise _BudgetExhausted
                 c = (g & -g).bit_length() - 1
                 q = [qt ^ qcol[t][c] for t, qt in enumerate(q)]
@@ -231,6 +235,7 @@ class _Search:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExhausted
+        # _past inlined, None test first: a node without a deadline pays one test
         if (
             self.deadline is not None
             and (self.nodes & 255) == 1
@@ -351,35 +356,33 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     return table
 
 
-def _best_seed(
-    n: int, k: int, d: int, s_min: int, s_max: int, extra: Cover | None
-) -> Cover | None:
-    candidates: list[Cover] = []
-
-    def consider(build) -> None:
-        with suppress(ValueError):
-            candidates.append(build())
-
+def _seeds(n: int, k: int, d: int, s_min: int, extra: Cover | None):
+    """The covers of every construction family that fits (n, k, d), then
+    extra; each is built only when the caller asks for it."""
     if exact_thm_a(n, k, d) is not None:
-        consider(lambda: thm_a_cover(n, k, d))
+        yield thm_a_cover(n, k, d)
     if k >= 2 and n > d:
-        consider(lambda: lemma31_cover(n, k, d))
-    consider(lambda: smax_cover(n, k, d))
+        yield lemma31_cover(n, k, d)
+    yield smax_cover(n, k, d)
     if d == 1 and n == k and k >= 4:
-        consider(lambda: diagonal_cover(k))
+        yield diagonal_cover(k)
     if (n, k, d) == (12, 8, 1):
-        consider(golay_cover)
+        yield golay_cover()
     if n == d:
-        consider(lambda: _points_cover(n, k, s_min))
+        yield _points_cover(n, k, s_min)
     if extra is not None:
-        if (extra.n, extra.d) != (n, d):
-            raise ValueError(
-                f"seed cover is for n={extra.n}, d={extra.d}, not n={n}, d={d}"
-            )
-        candidates.append(extra)
+        yield extra
 
+
+def _best_seed(
+    n: int, k: int, d: int, s_min: int, s_max: int, extra: Cover | None, deadline: float | None
+) -> Cover | None:
+    """The smallest seed inside the origin window; no build starts past the deadline."""
+    if extra is not None and (extra.n, extra.d) != (n, d):
+        raise ValueError(f"seed cover is for n={extra.n}, d={extra.d}, not n={n}, d={d}")
     best: Cover | None = None
-    for C in candidates:
+    seeds = _seeds(n, k, d, s_min, extra)
+    while not _past(deadline) and (C := next(seeds, None)) is not None:
         if verify(C, k).is_cover_for(k, s_min, s_max) and (best is None or C.size < best.size):
             best = C
     return best
@@ -422,8 +425,9 @@ def _drive(
 ) -> SolveResult:
     """Common engine: cap=None minimises, cap=m decides existence at size <= m."""
     s_min, s_max, assumptions = window
+    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     lo = lb_origin_at_least(n, k, d, s_min)
-    seed = _best_seed(n, k, d, s_min, s_max, extra_seed)
+    seed = _best_seed(n, k, d, s_min, s_max, extra_seed, deadline)
     deciding = cap is not None
     if deciding and seed is not None and seed.size <= cap:
         return SolveResult("feasible", seed.size, seed, 0, lo, assumptions)
@@ -432,21 +436,22 @@ def _drive(
     else:
         best, limit = seed, (1 << 60 if seed is None else seed.size - 1)
 
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     # The window splits by exact origin count; each single-s subproblem
     # carries much tighter direction tables than the window as a whole.
     # High s first: the known good covers sit at s >= k-2.  An s whose
     # root bound is over the limit is skipped, and lb_origin_at_least is
     # nondecreasing in s, so a root closure (a seed of size lo, or lo above
-    # the cap) skips them all and builds no pool.  After every run, also
-    # one a budget stopped, the run's best cover is certified and lowers
-    # the limit; the status table below is the only place a status is set.
+    # the cap) skips them all and builds no pool.  No build or run starts
+    # past the deadline.  After every run, also one a budget stopped, the
+    # run's best cover is certified and lowers the limit; the status table
+    # below is the only place a status is set.
     search: _Search | None = None
     exhausted = True
     for s in range(s_max, s_min - 1, -1):
         if lb_origin_at_least(n, k, d, s) > limit:
             continue
-        if max_nodes is not None and (search.nodes if search else 0) >= max_nodes:
+        spent = search.nodes if search else 0
+        if (max_nodes is not None and spent >= max_nodes) or _past(deadline):
             exhausted = False
             break
         try:

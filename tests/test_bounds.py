@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from f2cover.bounds import (
     Anchor,
+    BoundEntry,
+    BoundLedger,
     LedgerContradiction,
     ParameterError,
     all_points_value,
@@ -196,6 +198,25 @@ def test_n0_reports_from_full_ledger():
     assert n0_report(5, led).n0 == 6
     r8 = n0_report(8, led)
     assert r8.status == "at_least" and r8.n0_min == 13
+
+
+@pytest.mark.parametrize(
+    "cells,expect",
+    [
+        # (lo, hi) for n = 2, 3, 4 at k = 2, d = 1, where the target is n + 1
+        ([(2, 2), (4, 4), (5, 5)], {"status": "determined", "n0": 3, "n0_min": 3, "n0_max": 3}),
+        ([(3, 3), (4, 4), (5, 5)], {"status": "at_most", "n0_max": 2}),
+        ([(2, 3), (4, 4), (5, 5)], {"status": "open", "n0_max": 3}),
+        ([(2, 2), (3, 4), (4, 5)], {"status": "at_least", "n0_min": 3}),
+        ([(2, 2), (3, 4), (5, 5)], {"status": "open", "n0_min": 3, "n0_max": 4}),
+        ([(2, 3), (3, 4), (4, 5)], {"status": "open"}),
+    ],
+)
+def test_n0_report_branches(cells, expect):
+    ledger = BoundLedger(d=1, n_range=(2, 4), k_range=(2, 2), anchors=())
+    for n, (lo, hi) in enumerate(cells, start=2):
+        ledger.cells[(n, 2, 1)] = BoundEntry(n=n, k=2, d=1, lo=lo, hi=hi)
+    assert n0_report(2, ledger).to_json() == {"k": 2, **expect}
 
 
 def test_format_table_csv_and_md():

@@ -102,6 +102,13 @@ def test_golay_code_pipeline(capsys, monkeypatch):
     assert sorted(code_again["rows"]) == sorted(code_doc["rows"])
 
 
+def test_golay_code_refuses_an_input(tmp_path, capsys):
+    # code golay reads nothing, so a --in it would ignore is a usage error
+    assert run(["code", "golay", "--in", str(tmp_path / "missing.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--in" in err
+
+
 def test_restrict_pipe(capsys, monkeypatch):
     C = gv_random_cover(4, 2, seed=9)
     _feed(monkeypatch, C.to_json())
@@ -340,6 +347,10 @@ def test_unparsable_normal_is_usage(capsys, monkeypatch):
     ["construct", "--family", "smax", "--n", "25", "--k", "2"],
     ["solve", "--n", "30", "--k", "3"],
     ["decide", "--n", "30", "--k", "3", "--size", "40"],
+    # past the point-loop limit of 20, below the vector width of 24
+    ["construct", "--family", "smax", "--n", "21", "--k", "2"],
+    ["solve", "--n", "21", "--k", "3"],
+    ["decide", "--n", "21", "--k", "3", "--size", "40"],
 ])
 def test_dimension_above_the_cap_is_usage(capsys, argv):
     assert run(argv) == 2

@@ -489,3 +489,49 @@ def test_gray_code_walk_watches_the_clock(monkeypatch):
     with pytest.raises(_BudgetExhausted):
         _Search(10, 1, 10, False, 1.0, None)
     assert len(reads) == 2
+
+
+
+def _no_pool(*args):
+    pytest.fail("the pool index was built")
+
+
+@pytest.mark.parametrize(
+    "call,status,value",
+    [
+        # Lemma 3.1, the first seed, has origin count 2: outside s = 1
+        (lambda: solve_g(5, 4, 1, 1, max_seconds=1.0), "unknown", None),
+        (lambda: solve_min(5, 4, 1, max_seconds=1.0), "feasible", 10),
+    ],
+    ids=["solve_g", "solve_min"],
+)
+def test_deadline_during_seeding_builds_no_pool(monkeypatch, call, status, value):
+    # two reads at 0.0: the start of the call and the check before the
+    # first seed; the clock has passed the deadline before the second seed
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 2 else 2.0
+
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(solver_module, "_Search", _no_pool)
+    result = call()
+    assert (result.status, result.value, result.nodes) == (status, value, 0)
+    if value is not None:
+        assert verify(result.certificate, 4).is_cover_for(4)
+
+
+def test_search_loop_watches_the_clock(monkeypatch):
+    # the clock passes the deadline as the run starts; node 1 reads it
+    now = [0.0]
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    run = _Search.run
+
+    def jump_then_run(self, s, limit):
+        now[0] = 2.0
+        run(self, s, limit)
+
+    monkeypatch.setattr(_Search, "run", jump_then_run)
+    result = solve_g(5, 4, 1, 1, max_seconds=1.0)
+    assert (result.status, result.value, result.nodes) == ("unknown", None, 1)
