@@ -83,9 +83,9 @@ def lemma31_cover(n: int, k: int, d: int) -> Cover:
     The codim-1 base is the n coordinate hyperplanes plus the all-ones
     hyperplane and k-2 parallel pairs; its origin count is k-2.
     """
+    _check_problem(n, k, d)
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    _check_problem(n, k, d)
     size = _linear_value(n, k, d)
     m = n - d + 1
     entries: list[tuple[AffineSubspace, int]] = [
@@ -178,6 +178,7 @@ def smax_cover(n: int, k: int, d: int) -> Cover:
 def diagonal_cover(k: int) -> Cover:
     """k-cover of F_2^k of size 3k - 4: coordinate hyperplanes, their all-ones
     complements, and k-4 copies of the parity hyperplane through the origin."""
+    _check_problem(k, k, 1)
     if k < 4:
         raise ValueError(f"need k >= 4, got {k}")
     all_ones = ones_vector(k)

@@ -34,11 +34,11 @@ class ParameterError(ValueError):
 
 
 def _check_problem(n: int, k: int | None, d: int, s: int | None = None) -> None:
-    """Reject d outside 1..n, k (unless None) below 1 and s (unless None) outside 0..k-1."""
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    """Reject k (unless None) below 1, d outside 1..n and s (unless None) outside 0..k-1."""
     if k is not None and k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
+    if not 1 <= d <= n:
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
     if s is not None and not 0 <= s <= k - 1:
         raise ParameterError(f"need 0 <= s <= k-1, got s={s}, k={k}")
 

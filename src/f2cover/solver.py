@@ -8,8 +8,12 @@ the pool.  What the search reads of it is bit-sliced by need: one mask
 per level j of the points still needing at least j more copies, so
 placing a member is k mask operations, not a loop over its points.
 Branching follows deficient points: pick the worst uncovered point, try
-each of its usable coverers in turn, and forbid a tried coverer in the
-later siblings, so no multiset is reached twice.  At d=1 only the first
+each of its usable coverers in turn, those through the most deficient
+points first, and forbid a tried coverer in the later siblings, so no
+multiset is reached twice.  A node with many coverers (the wide d >= 2
+pools) scores them all at once, one bit plane per score bit, and lists
+them lazily.  A run ends at a cover whose size meets the root bound for
+its origin count, since none smaller exists.  At d=1 only the first
 fresh coverer (normal outside the span of those placed) of each rhs is
 tried: the maps fixing the node make the others equivalent (orbital
 branching, see _Search).  Closed forms and the construction families
@@ -96,6 +100,45 @@ def _cosets(full: int, odd: list[int]) -> list[int]:
     return terms
 
 
+def _score_classes(cm: int, dm: int, coverer_masks: list[int], width: int) -> list[int]:
+    """cm split by score |masks[i] & dm|: the nonempty classes, highest score first.
+
+    Bit t of every member's score sits in one plane, planes[t]; each point
+    of dm adds its coverers in cm with a ripple carry.  Scores are below
+    2^width.
+    """
+    planes = [0] * width
+    m = dm
+    while m:
+        b = m & -m
+        m ^= b
+        x = coverer_masks[b.bit_length() - 1] & cm
+        for t, plane in enumerate(planes):
+            planes[t] = plane ^ x
+            x &= plane
+            if not x:
+                break
+    classes = [cm]
+    for plane in reversed(planes):
+        rest = ~plane
+        classes = [part for c in classes for part in (c & plane, c & rest) if part]
+    return classes
+
+
+def _ascending(classes: list[int]):
+    """The set bits of each class in turn, lowest first, found lazily: a
+    search that takes only the first candidate peels one 64-bit word."""
+    for c in classes:
+        while c:
+            base = ((c & -c).bit_length() - 1) & -64
+            w = c >> base & 0xFFFF_FFFF_FFFF_FFFF
+            c ^= w << base
+            while w:
+                b = w & -w
+                w ^= b
+                yield b.bit_length() - 1 + base
+
+
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
@@ -103,12 +146,20 @@ class _Search:
     points and per point the bit set of members through it, once, in time
     linear in the pool: one linear system's 2^d cosets at a time, so member
     (j << d) | r is coset r of systems[j] and member(i) decodes it.
-    run(s, limit) searches origin count exactly s.  A search state is a
+    run(s, limit, floor) searches origin count exactly s, and stops at a
+    cover of size floor, the root bound at s.  A search state is a
     few ints: lev[j-1] masks the points that still need at least j more
     copies (the origin sits at levels 1..s only, every other point at
     1..k), and the usable subset of the pool is one int.  Adding a member
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
+    A node tries its candidates by descending score, the points of lev[0]
+    a member covers, lowest index first on a tie.  It scores them one by
+    one when there are at most score_bits per deficient point; otherwise
+    _score_classes adds each deficient point's coverers into score_bits
+    bit planes and splits the candidates into score classes, which
+    _ascending lists lazily, so a node whose first child finds the
+    witness peels one 64-bit word.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
 
@@ -154,23 +205,23 @@ class _Search:
         for c in range(n):
             high = _every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c)
             odd += [x ^ high for x in odd]
-        # qbits[t][c]: bit j << d set iff row t of systems[j] has bit c
-        qbits = [[bytearray((size + 7) >> 3) for _ in range(n)] for _ in range(d)]
         self.masks: list[int] = []
-        for j, head in enumerate(systems):
+        for head in systems:
             if _past(deadline):
                 raise _BudgetExhausted
-            lo = j << d
-            for t, u in enumerate(head):
-                for c in range(n):
-                    if (u >> c) & 1:
-                        qbits[t][c][lo >> 3] |= 1 << (lo & 7)
             self.masks.extend(_cosets((1 << npts) - 1, [odd[u] for u in head]))
+        # qcol[t][c]: bit j << d set iff row t of systems[j] has bit c, read
+        # from one binary string of 2^d-wide blocks, last system first
+        zero = "0" * block
+        one = zero[1:] + "1"
+        qcol = [
+            [int("".join([one if u >> c & 1 else zero for u in column]), 2) for c in range(n)]
+            for column in ([head[t] for head in reversed(systems)] for t in range(d))
+        ]
         # Q_t(p) = sum_j (u_{j,t} . p) << (j << d) is linear in p, so a Gray-code
         # walk over the points updates each Q_t with one XOR and keeps only d
         # of them alive.  p lies in coset r of block j iff bit j << d of
         # Q_t(p) is bit t of r for every t.
-        qcol = [[int.from_bytes(b, "little") for b in row] for row in qbits]
         every = _every(block, size)
         q = [0] * d
         self.coverer_masks = [0] * npts
@@ -194,17 +245,21 @@ class _Search:
         self.nodes = 0
         self.cov_shift = n - d
         self.cov = 1 << (n - d)
+        # a score, the points of dm in one member, is at most cov
+        self.score_bits = n - d + 1
 
     def member(self, i: int) -> AffineSubspace:
         """Pool member i: coset rhs = i mod 2^d of systems[i >> d]."""
         d = self.d
         return AffineSubspace(self.n, d, self.systems[i >> d], i & ((1 << d) - 1))
 
-    def run(self, s: int, limit: int) -> None:
-        """Search origin count exactly s for covers of size <= limit."""
+    def run(self, s: int, limit: int, floor: int) -> None:
+        """Search origin count exactly s for covers of size <= limit; floor
+        is a lower bound on them, so a cover of that size ends the run."""
         n, k, npts, root = self.n, self.k, self.npts, self.root
         self.s = s
         self.limit = limit
+        self.floor = floor
         self.best_mult: list[int] | None = None
         self.dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
         self.mult = [0] * len(self.masks)
@@ -244,7 +299,8 @@ class _Search:
             raise _BudgetExhausted
         if def_total == 0:
             self.best_mult = list(self.mult)
-            if self.stop_at_first:
+            # a cover at the root bound has no smaller rival at this s
+            if self.stop_at_first or size <= self.floor:
                 raise _FoundWitness
             self.limit = size - 1
             return
@@ -274,22 +330,32 @@ class _Search:
                 if best_cnt < 0 or cnt < best_cnt:
                     best_cnt, branch_p = cnt, p
         masks = self.masks
-        cands = []
         cm = coverer_masks[branch_p] & usable
-        # one 64-bit word at a time: peeling bits off the whole pool-wide
-        # mask would copy it once per candidate; base is one below the
-        # pool index of the word's bit 0
-        base = -1
-        while cm:
-            w = cm & 0xFFFF_FFFF_FFFF_FFFF
-            cm >>= 64
-            while w:
-                b = w & -w
-                i = b.bit_length() + base
-                w ^= b
-                cands.append((-(masks[i] & dm).bit_count(), i))
-            base += 64
-        cands.sort()
+        # The candidates are the best_cnt members of cm, tried in the order
+        # of sorted((-|masks[i] & dm|, i)).  Scoring them one by one costs
+        # best_cnt steps; bit planes cost about score_bits * |dm| pool-wide
+        # ones, so the larger count picks the path: prove's d=1 nodes (about
+        # 3 candidates) stay narrow and witness's d >= 2 nodes (thousands)
+        # go wide.  The loop below reads only i of each pair.
+        if best_cnt > self.score_bits * dm.bit_count():
+            classes = _score_classes(cm, dm, coverer_masks, self.score_bits)
+            cands = ((0, i) for i in _ascending(classes))
+        else:
+            cands = []
+            # one 64-bit word at a time: peeling bits off the whole pool-wide
+            # mask would copy it once per candidate; base is one below the
+            # pool index of the word's bit 0
+            base = -1
+            while cm:
+                w = cm & 0xFFFF_FFFF_FFFF_FFFF
+                cm >>= 64
+                while w:
+                    b = w & -w
+                    i = b.bit_length() + base
+                    w ^= b
+                    cands.append((-(masks[i] & dm).bit_count(), i))
+                base += 64
+            cands.sort()
         # exact[j]: the points whose need is exactly j+1; a member M takes
         # M & exact[j] down from level j+1 to level j
         exact = [D ^ E for D, E in zip(lev, lev[1:])] + [top]
@@ -448,7 +514,8 @@ def _drive(
     search: _Search | None = None
     exhausted = True
     for s in range(s_max, s_min - 1, -1):
-        if lb_origin_at_least(n, k, d, s) > limit:
+        floor = lb_origin_at_least(n, k, d, s)
+        if floor > limit:
             continue
         spent = search.nodes if search else 0
         if (max_nodes is not None and spent >= max_nodes) or _past(deadline):
@@ -457,7 +524,7 @@ def _drive(
         try:
             if search is None:
                 search = _Search(n, k, d, deciding, deadline, max_nodes)
-            search.run(s, limit)
+            search.run(s, limit, floor)
         except _BudgetExhausted:
             exhausted = False
         if search is not None and search.best_mult is not None:

@@ -49,8 +49,19 @@ def test_verify_negative_exit(capsys, monkeypatch):
 
 
 def test_construct_regime_failure_is_negative(capsys):
-    # thma needs k >= 4 at (n=5, d=2)
+    # thma needs k >= 4 at (n=5, d=2), l31 k >= 2, diag k >= 4
     assert run(["construct", "--family", "thma", "--n", "5", "--k", "2", "--d", "2"]) == 1
+    assert run(["construct", "--family", "l31", "--n", "4", "--k", "1"]) == 1
+    assert run(["construct", "--family", "diag", "--k", "3"]) == 1
+
+
+@pytest.mark.parametrize("family", ["smax", "thma", "l31", "diag", "gv"])
+def test_construct_k_below_one_is_usage(capsys, family):
+    # k < 1 is out of range for every family, before any family's own range
+    argv = ["construct", "--family", family, "--k", "0"]
+    assert run(argv if family == "diag" else argv + ["--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need k >= 1, got 0" in err
 
 
 def test_construct_missing_params_is_usage(capsys):

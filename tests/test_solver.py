@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -180,11 +181,67 @@ def test_node_counts_are_pinned():
 
 
 def test_witness_scale_node_counts_are_pinned():
-    # d >= 2 pools of 10,668 and 11,160 subspaces, searched to a first witness
+    # d >= 2 pools of 10,668 to 94,488 subspaces, searched to a first witness
     wide = decide(7, 3, 2, 16, s=0)
     assert (wide.status, wide.value, wide.nodes) == ("feasible", 16, 16)
+    wider = decide(8, 3, 2, 18, s=0)
+    assert (wider.status, wider.value, wider.nodes) == ("feasible", 18, 18)
     deep = decide(6, 3, 3, 25, s=0)
     assert (deep.status, deep.value, deep.nodes) == ("feasible", 25, 25)
+    deeper = decide(7, 3, 3, 27, s=0)
+    assert (deeper.status, deeper.value, deeper.nodes) == ("feasible", 27, 27)
+
+
+def test_a_cover_at_the_root_bound_ends_the_run():
+    # No construction fits s=0; the first cover the search finds meets the
+    # root bound, so nothing is left to prove (100,001 nodes without the stop).
+    g5320 = solve_g(5, 3, 2, 0, max_nodes=100_000)
+    assert (g5320.status, g5320.value, g5320.nodes, g5320.proof_lo) == ("optimal", 13, 13, 13)
+    g6330 = solve_g(6, 3, 3, 0, max_nodes=100_000)
+    assert (g6330.status, g6330.value, g6330.nodes, g6330.proof_lo) == ("optimal", 25, 25, 25)
+    for result in (g5320, g6330):
+        report = verify(result.certificate, 3)
+        assert report.is_cover_for(3) and report.origin_count == 0
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (6, 3)])
+def test_candidate_order_is_by_score_then_index(n, d):
+    # Random node states on both sides of the choice between scoring each
+    # candidate and bit planes: a node tries its branch point's usable
+    # coverers in the order sorted((-|masks[i] & dm|, i)), or none when a
+    # deficient point has no usable coverer.
+    rng = random.Random(10 * n + d)
+    search = _Search(n, 2, d, False, None, None)
+    masks, coverers = search.masks, search.coverer_masks
+    tried: list[int] = []
+    sides = set()
+
+    def node(lev, def_total, size, usable):
+        if size == 1:  # the run's root: search the drawn state instead
+            search.mult[search.root] = 0
+            _Search._node(search, [dm], dm.bit_count(), 1, drawn)
+        else:
+            tried.append(search.mult.index(1))
+
+    search._node = node
+    for _ in range(24):
+        dm = sum(1 << p for p in rng.sample(range(search.npts), rng.randint(1, search.npts)))
+        drawn = (1 << len(masks)) - 1
+        for _ in range(rng.randint(1, 7)):
+            drawn &= rng.getrandbits(len(masks))
+        points = [p for p in range(search.npts) if dm >> p & 1]
+        cnt, p = min(((coverers[p] & drawn).bit_count(), p) for p in points)
+        cm = coverers[p] & drawn
+        members = [i for i in range(len(masks)) if cm >> i & 1]
+        expected = sorted((-(masks[i] & dm).bit_count(), i) for i in members)
+        if all(coverers[q] & drawn for q in points):
+            sides.add(cnt > search.score_bits * len(points))
+        else:
+            expected = []
+        tried.clear()
+        search.run(0, 1 << 30, 0)
+        assert tried == [i for _, i in expected]
+    assert sides == {False, True}
 
 
 def test_origin_cap_node_count_is_pinned():
@@ -528,9 +585,9 @@ def test_search_loop_watches_the_clock(monkeypatch):
     monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
     run = _Search.run
 
-    def jump_then_run(self, s, limit):
+    def jump_then_run(self, *args):
         now[0] = 2.0
-        run(self, s, limit)
+        run(self, *args)
 
     monkeypatch.setattr(_Search, "run", jump_then_run)
     result = solve_g(5, 4, 1, 1, max_seconds=1.0)
