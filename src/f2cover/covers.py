@@ -2,7 +2,8 @@
 
 A Cover is a multiset of codim-d affine subspaces in a common ambient
 dimension, optionally tagged with the construction that built it.
-verify() counts coverage of every point by full enumeration, and
+verify() counts the coverage of every point exactly, in one 32-bit field
+per point of a single packed int, so a cover's size must stay below 2^32;
 CoverReport.is_cover_for() is the one test of a (k,d;s)-cover;
 restrict_to_hyperplane() performs the discard/split/intersect surgery that
 drops the ambient dimension by one while preserving surviving coverage.
@@ -81,9 +82,8 @@ class Cover:
             merged[S] = merged.get(S, 0) + mult
         if n is None:
             raise ValueError("a cover needs at least one subspace")
-        ordered = tuple(
-            sorted(merged.items(), key=lambda item: item[0].canonical_bytes())
-        )
+        # one (n, d) and masks below 2^24: the canonical_bytes order
+        ordered = tuple(sorted(merged.items(), key=lambda item: (item[0].normals, item[0].rhs)))
         return cls(n=n, d=d, entries=ordered, tag=tag)
 
     @property
@@ -149,36 +149,72 @@ class CoverReport:
         }
 
 
-def coverage_counts(C: Cover) -> list[int]:
-    """Per-point coverage, subspace-major: enumerate each subspace's points."""
+# Coverage counts live in 32-bit fields of one int, one field per point.
+COUNT_LIMIT = (1 << 32) - 1
+
+
+def _check_counting(C: Cover) -> None:
     if C.n > gf2core.DIMENSION_LIMIT:
         raise ValueError(f"ambient dimension {C.n} above the point-loop limit {gf2core.DIMENSION_LIMIT}")
-    counts = [0] * (1 << C.n)
+    if C.size > COUNT_LIMIT:
+        raise ValueError(f"cover size {C.size} above the coverage count limit 2^32 - 1")
+
+
+def _profile_bytes(C: Cover) -> bytes:
+    """Per-point coverage as 2^n little-endian uint32 fields, point 0 first.
+
+    Field x of coords[c] holds bit c of x, and the parity pattern of a
+    normal u is the XOR of its coordinates' patterns.  An entry's
+    indicator is the AND over its rows of the pattern, complemented where
+    the rhs bit is 0, so the profile is one multiply-add per entry.  No
+    field carries: no count passes C.size, which _check_counting caps at
+    COUNT_LIMIT.  Patterns are not memoised: at n = 20 each is 4 MiB, and
+    rebuilding one from coords is a few XORs.
+    """
+    _check_counting(C)
+    n = C.n
+    zero4, one4 = bytes(4), (1).to_bytes(4, "little")
+    unit = int.from_bytes(one4 * (1 << n), "little")
+    coords = [
+        int.from_bytes((zero4 * (1 << c) + one4 * (1 << c)) * (1 << (n - c - 1)), "little")
+        for c in range(n)
+    ]
+    total = 0
     for S, mult in C.entries:
-        for b in gf2core.solution_bits(S):
-            counts[b] += mult
-    return counts
+        indicator = unit
+        for i, u in enumerate(S.normals):
+            pattern = 0
+            for c in range(u.bit_length()):
+                if u >> c & 1:
+                    pattern ^= coords[c]
+            indicator &= pattern if S.rhs >> i & 1 else unit ^ pattern
+        total += mult * indicator
+    return total.to_bytes(4 << n, "little")
+
+
+def coverage_counts(C: Cover) -> list[int]:
+    """Per-point coverage from packed 32-bit fields (see _profile_bytes)."""
+    return list(struct.unpack(f"<{1 << C.n}I", _profile_bytes(C)))
 
 
 def coverage_counts_pointwise(C: Cover) -> list[int]:
     """Per-point coverage, point-major; slower cross-check of coverage_counts."""
-    if C.n > gf2core.DIMENSION_LIMIT:
-        raise ValueError(f"ambient dimension {C.n} above the point-loop limit {gf2core.DIMENSION_LIMIT}")
+    _check_counting(C)
     return [
         sum(mult for S, mult in C.entries if S.contains_bits(x))
         for x in range(1 << C.n)
     ]
 
 
-def profile_checksum(counts: list[int]) -> str:
-    packed = struct.pack(f"<{len(counts)}I", *counts)
-    return hashlib.sha256(packed).hexdigest()[:16]
-
-
 def verify(C: Cover, k: int = 1) -> CoverReport:
-    """Exact coverage report; C is a (k,d)-cover iff report.is_cover_for(k)."""
+    """Exact coverage report; C is a (k,d)-cover iff report.is_cover_for(k).
+
+    profile_checksum is the first 16 hex digits of the SHA-256 of the
+    profile as 2^n little-endian uint32 counts, point 0 first.
+    """
     _check_problem(C.n, k, C.d)
-    counts = coverage_counts(C)
+    profile = _profile_bytes(C)
+    counts = struct.unpack(f"<{1 << C.n}I", profile)
     nonzero = counts[1:]
     return CoverReport(
         n=C.n,
@@ -186,7 +222,7 @@ def verify(C: Cover, k: int = 1) -> CoverReport:
         origin_count=counts[0],
         min_nonzero=min(nonzero),
         max_nonzero=max(nonzero),
-        profile_checksum=profile_checksum(counts),
+        profile_checksum=hashlib.sha256(profile).hexdigest()[:16],
     )
 
 

@@ -297,15 +297,16 @@ class _Search:
             and time.monotonic() > self.deadline
         ):
             raise _BudgetExhausted
+        limit = self.limit
+        if size + ((def_total + self.cov - 1) >> self.cov_shift) > limit:
+            return
+        # past the bound test, so a cover is recorded only within the limit
         if def_total == 0:
             self.best_mult = list(self.mult)
             # a cover at the root bound has no smaller rival at this s
             if self.stop_at_first or size <= self.floor:
                 raise _FoundWitness
             self.limit = size - 1
-            return
-        limit = self.limit
-        if size + ((def_total + self.cov - 1) >> self.cov_shift) > limit:
             return
         # one member lowers a point's need by at most one
         if size + len(lev) > limit:

@@ -347,6 +347,16 @@ def test_verify_k_below_one_is_usage(capsys, monkeypatch):
     assert out == "" and "need k >= 1, got 0" in err
 
 
+def test_verify_refuses_a_size_past_the_count_limit(capsys, monkeypatch):
+    # a multiplicity of 2^32 would carry out of its point's 32-bit count
+    doc = gv_random_cover(3, 2, seed=1).to_json()
+    doc["entries"][0]["mult"] = 1 << 32
+    _feed(monkeypatch, doc)
+    assert run(["verify", "--k", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "2^32 - 1" in err
+
+
 def test_unparsable_normal_is_usage(capsys, monkeypatch):
     _feed(monkeypatch, gv_random_cover(4, 2, seed=9).to_json())
     assert run(["restrict", "--normal", "zz"]) == 2

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f2cover.constructions import ConstructionTag, gv_random_cover, smax_cover
+from f2cover.codes import golay_cover
+from f2cover.constructions import ConstructionTag, gv_random_cover, lemma31_cover, smax_cover
 from f2cover.covers import ConstructionTag as TagFromCovers
 from f2cover.covers import (
+    COUNT_LIMIT,
     Cover,
     add_parallel_pair,
     cover_from_json,
@@ -93,6 +97,54 @@ def test_is_cover_for_caps_origin():
 @given(small_covers())
 def test_counting_orders_agree(C):
     assert coverage_counts(C) == coverage_counts_pointwise(C)
+
+
+@given(small_covers(), st.integers(1, 1 << 31), st.integers(0, 200))
+def test_verify_matches_a_pointwise_reference(C, heavy, pick):
+    # one heavy entry sets the top bits of its points' 32-bit counts
+    pool = enumerate_subspaces(C.n, C.d)
+    S = pool[pick % len(pool)]
+    C = Cover.from_entries(list(C.entries) + [(S, heavy)])
+    counts = coverage_counts_pointwise(C)
+    packed = struct.pack(f"<{len(counts)}I", *counts)
+    report = verify(C)
+    assert report.origin_count == counts[0]
+    assert (report.min_nonzero, report.max_nonzero) == (min(counts[1:]), max(counts[1:]))
+    assert report.profile_checksum == hashlib.sha256(packed).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "build,k,want",
+    [
+        (golay_cover, 8, (0, 8, 24, "c809af3531f549e1")),
+        (lambda: lemma31_cover(7, 3, 3), 3, (1, 3, 7, "de9312aef4c7fb22")),
+    ],
+    ids=["golay", "lemma31_733"],
+)
+def test_profile_checksums_are_pinned(build, k, want):
+    report = verify(build(), k)
+    got = (report.origin_count, report.min_nonzero, report.max_nonzero, report.profile_checksum)
+    assert got == want
+
+
+def test_counts_refuse_a_size_past_the_field_limit():
+    H = hyperplane(GFVector(0b011, 3), 1)
+    at_limit = Cover.from_entries([(H, COUNT_LIMIT)])
+    assert verify(at_limit).max_nonzero == COUNT_LIMIT
+    assert coverage_counts(at_limit) == [COUNT_LIMIT * ((b & 0b011).bit_count() % 2) for b in range(8)]
+    over = Cover.from_entries([(H, COUNT_LIMIT), (hyperplane(GFVector(0b100, 3), 1), 1)])
+    for count in (verify, coverage_counts, coverage_counts_pointwise):
+        with pytest.raises(ValueError, match=r"2\^32 - 1"):
+            count(over)
+
+
+@given(st.integers(1, 5), st.data())
+def test_entry_order_is_canonical_bytes_order(n, data):
+    d = data.draw(st.integers(1, n))
+    pool = enumerate_subspaces(n, d)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    C = Cover.from_entries([(pool[i], 1) for i in picks])
+    assert [S for S, _ in C.entries] == sorted({pool[i] for i in picks}, key=lambda S: S.canonical_bytes())
 
 
 @given(small_covers())

@@ -256,7 +256,7 @@ def test_origin_cap_node_count_is_pinned():
         (lambda: decide(6, 3, 3, 25, s=0),
          "0e80603911eaad4e9a304f5f84ffa2d23ee2e8e9054d9e80b69d38f5d5fb3472"),
         (lambda: solve_g(4, 4, 1, 1),
-         "f6d1ea59b05818a284290cef8e9a5b467c85af19ca4a938d809f9ce270618433"),
+         "693078baef3d5e54806560b268d80c149347e37eda3628c9a8ead038f85c994e"),
     ],
     ids=["decide633", "g4411"],
 )
@@ -313,6 +313,28 @@ def test_level_masks_match_a_recount(monkeypatch, call, args):
     monkeypatch.setattr(_Search, "_node", checked)
     result = call(*args)
     assert len(visits) == result.nodes > 0
+
+
+@pytest.mark.parametrize("args", [(4, 4, 1, 1), (5, 3, 1, 0), (4, 5, 1, 2), (6, 3, 1, 0)])
+def test_no_cover_is_recorded_over_the_limit(monkeypatch, args):
+    # A leaf that completes a cover may record it only within the limit of
+    # the moment, so a same-size sibling never replaces the first cover.
+    node = _Search._node
+    recorded = []
+
+    def checked(self, lev, def_total, size, usable):
+        limit, best = self.limit, self.best_mult
+        try:
+            node(self, lev, def_total, size, usable)
+        finally:
+            # a cover is recorded by the leaf that completes it (def_total == 0)
+            if def_total == 0 and self.best_mult is not best:
+                assert size <= limit
+                recorded.append(size)
+
+    monkeypatch.setattr(_Search, "_node", checked)
+    result = solve_g(*args)
+    assert recorded and min(recorded) == result.value
 
 
 def _parity(x: int) -> int:
