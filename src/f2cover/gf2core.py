@@ -9,7 +9,7 @@ echelon form so that equal subspaces compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 MAX_DIMENSION = 24
@@ -310,16 +310,15 @@ def linear_systems(n: int, d: int) -> list[tuple[int, ...]]:
         )
     systems: list[tuple[int, ...]] = []
     for pivots in combinations(range(n), d):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivot_set
-        ]
-        for assign in range(1 << len(free_cells)):
-            rows = [1 << p for p in pivots]
-            for t, (i, j) in enumerate(free_cells):
-                if (assign >> t) & 1:
-                    rows[i] |= 1 << j
-            systems.append(tuple(rows))
+        # row i: its pivot plus any set of the later non-pivot columns
+        choices = []
+        for p in pivots:
+            row = [1 << p]
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    row += [u | 1 << j for u in row]
+            choices.append(row)
+        systems += product(*choices)
     # Normals fit in 3 bytes, so int tuple order is canonical_bytes order.
     systems.sort()
     return systems

@@ -27,6 +27,7 @@ so every call searches its origin window one exact count s at a time.
 
 from __future__ import annotations
 
+import struct
 import time
 from contextlib import suppress
 from dataclasses import dataclass
@@ -142,10 +143,11 @@ def _ascending(classes: list[int]):
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
-    A call builds at most one of these: each member's bit mask over the
-    points and per point the bit set of members through it, once, in time
-    linear in the pool: one linear system's 2^d cosets at a time, so member
-    (j << d) | r is coset r of systems[j] and member(i) decodes it.
+    A call builds at most one of these.  Member (j << d) | r is coset r of
+    systems[j], and member(i) decodes it.  Per point, the bit set of members
+    through it is built once, by a Gray-code walk over the points.  A
+    member's bit mask over the points is built on first use by mask(i);
+    masks[i] is 0 until then, as no member is empty.
     run(s, limit, floor) searches origin count exactly s, and stops at a
     cover of size floor, the root bound at s.  A search state is a
     few ints: lev[j-1] masks the points that still need at least j more
@@ -191,7 +193,7 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
-        # the member masks and the coverer masks each hold pool << n bits
+        # the coverer masks hold pool << n bits, as do the member masks once all are built
         pool = count_subspaces(n, d)
         if pool << n > 1 << 32:
             raise ValueError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
@@ -200,24 +202,32 @@ class _Search:
         npts = 1 << n
         self.npts = npts
         block = 1 << d
-        # odd[u]: the points p with u . p = 1, as a mask over all points
-        odd = [0]
-        for c in range(n):
-            high = _every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c)
-            odd += [x ^ high for x in odd]
-        self.masks: list[int] = []
-        for head in systems:
-            if _past(deadline):
-                raise _BudgetExhausted
-            self.masks.extend(_cosets((1 << npts) - 1, [odd[u] for u in head]))
-        # qcol[t][c]: bit j << d set iff row t of systems[j] has bit c, read
-        # from one binary string of 2^d-wide blocks, last system first
-        zero = "0" * block
-        one = zero[1:] + "1"
-        qcol = [
-            [int("".join([one if u >> c & 1 else zero for u in column]), 2) for c in range(n)]
-            for column in ([head[t] for head in reversed(systems)] for t in range(d))
-        ]
+        # coords[c]: the points with bit c set; member masks are built from
+        # them on first use (mask), since a find-first run reads a handful
+        self.coords = [_every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c) for c in range(n)]
+        self.masks = [0] * size
+        if _past(deadline):
+            raise _BudgetExhausted
+        # qcol[t][c]: bit j << d set iff row t of systems[j] has bit c.  Row
+        # t of system j is little-endian 16-bit slot j of packed (the index
+        # cap keeps n <= 16); bit c of each slot goes to bit 0 of its low
+        # byte, and the low bytes are spread to one per 2^d-bit block.
+        lows = _every(16, len(systems) << 4)
+        qcol = []
+        for column in zip(*systems):
+            packed = int.from_bytes(struct.pack(f"<{len(systems)}H", *column), "little")
+            row = []
+            for c in range(n):
+                bits = (packed >> c & lows).to_bytes(len(systems) << 1, "little")[::2]
+                if block >= 8:
+                    spread = bytearray(size >> 3)
+                    spread[:: block >> 3] = bits
+                    row.append(int.from_bytes(spread, "little"))
+                else:
+                    per = 8 // block
+                    parts = (int.from_bytes(bits[o::per], "little") << o * block for o in range(per))
+                    row.append(sum(parts))
+            qcol.append(row)
         # Q_t(p) = sum_j (u_{j,t} . p) << (j << d) is linear in p, so a Gray-code
         # walk over the points updates each Q_t with one XOR and keeps only d
         # of them alive.  p lies in coset r of block j iff bit j << d of
@@ -253,6 +263,20 @@ class _Search:
         d = self.d
         return AffineSubspace(self.n, d, self.systems[i >> d], i & ((1 << d) - 1))
 
+    def mask(self, i: int) -> int:
+        """Point mask of member i, built on first use and kept in masks[i]:
+        the AND over its rows t of the parity pattern of the row's normal,
+        complemented where bit t of the rhs (bit t of i) is 0."""
+        m = (1 << self.npts) - 1
+        for t, u in enumerate(self.systems[i >> self.d]):
+            odd = 0
+            for c, pattern in enumerate(self.coords):
+                if u >> c & 1:
+                    odd ^= pattern
+            m &= odd if i >> t & 1 else ~odd
+        self.masks[i] = m
+        return m
+
     def run(self, s: int, limit: int, floor: int) -> None:
         """Search origin count exactly s for covers of size <= limit; floor
         is a lower bound on them, so a cover of that size ends the run."""
@@ -277,7 +301,7 @@ class _Search:
         # points needs k, so it only lowers the top level; an emptied top
         # level is dropped.
         lev = [((1 << npts) - 2) | (j < s) for j in range(k)]
-        lev[-1] &= ~self.masks[root]
+        lev[-1] &= ~self.mask(root)
         if not lev[-1]:
             lev.pop()
         with suppress(_FoundWitness):
@@ -354,7 +378,7 @@ class _Search:
                     b = w & -w
                     i = b.bit_length() + base
                     w ^= b
-                    cands.append((-(masks[i] & dm).bit_count(), i))
+                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
                 base += 64
             cands.sort()
         # exact[j]: the points whose need is exactly j+1; a member M takes
@@ -373,7 +397,7 @@ class _Search:
             # d=1 blocks are the two sides of one direction: member i | 1
             # avoids the origin and member i & -2 goes through it
             if dir_lb is None or dir_lb[mult[i | 1]][mult[i & -2]] <= self.limit:
-                M = masks[i]
+                M = masks[i] or self.mask(i)
                 child = [D ^ (M & x) for D, x in zip(lev, exact)]
                 if not child[-1]:
                     child.pop()
@@ -424,33 +448,42 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
 
 
 def _seeds(n: int, k: int, d: int, s_min: int, extra: Cover | None):
-    """The covers of every construction family that fits (n, k, d), then
-    extra; each is built only when the caller asks for it."""
+    """(cover, checked) for every construction family that fits (n, k, d),
+    then extra; each is built only when the caller asks for it.  A checked
+    cover was verified as a k-cover when it was built."""
     if exact_thm_a(n, k, d) is not None:
-        yield thm_a_cover(n, k, d)
+        yield thm_a_cover(n, k, d), True
     if k >= 2 and n > d:
-        yield lemma31_cover(n, k, d)
-    yield smax_cover(n, k, d)
+        yield lemma31_cover(n, k, d), True
+    yield smax_cover(n, k, d), True
     if d == 1 and n == k and k >= 4:
-        yield diagonal_cover(k)
+        yield diagonal_cover(k), True
     if (n, k, d) == (12, 8, 1):
-        yield golay_cover()
+        yield golay_cover(), False
     if n == d:
-        yield _points_cover(n, k, s_min)
+        yield _points_cover(n, k, s_min), False
     if extra is not None:
-        yield extra
+        yield extra, False
 
 
 def _best_seed(
     n: int, k: int, d: int, s_min: int, s_max: int, extra: Cover | None, deadline: float | None
 ) -> Cover | None:
-    """The smallest seed inside the origin window; no build starts past the deadline."""
+    """The smallest seed inside the origin window; no build starts past the deadline.
+
+    Each seed is verified once: a checked one's origin count is the
+    multiplicity of its members through the origin (rhs 0)."""
     if extra is not None and (extra.n, extra.d) != (n, d):
         raise ValueError(f"seed cover is for n={extra.n}, d={extra.d}, not n={n}, d={d}")
     best: Cover | None = None
     seeds = _seeds(n, k, d, s_min, extra)
-    while not _past(deadline) and (C := next(seeds, None)) is not None:
-        if verify(C, k).is_cover_for(k, s_min, s_max) and (best is None or C.size < best.size):
+    while not _past(deadline) and (seed := next(seeds, None)) is not None:
+        C, checked = seed
+        if checked:
+            fits = s_min <= sum(m for S, m in C.entries if S.rhs == 0) <= s_max
+        else:
+            fits = verify(C, k).is_cover_for(k, s_min, s_max)
+        if fits and (best is None or C.size < best.size):
             best = C
     return best
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from f2cover.gf2core import (
     DEGENERATE,
     EMPTY,
+    SUBSPACE_ENUM_LIMIT,
     AffineSubspace,
     GFVector,
     basis_vector,
@@ -16,6 +17,7 @@ from f2cover.gf2core import (
     enumerate_subspaces,
     gaussian_binomial,
     hyperplane,
+    linear_systems,
     ones_vector,
     parity,
     point_mask,
@@ -98,6 +100,44 @@ def test_enumerate_subspaces_complete_and_distinct(n, d):
 def test_enumerate_subspaces_in_canonical_order(n, d):
     pool = enumerate_subspaces(n, d)
     assert pool == sorted(pool, key=AffineSubspace.canonical_bytes)
+
+
+def _independent_sets(n: int, d: int, rows=(), span=frozenset({0})):
+    """Every d-set of independent nonzero rows of width n, in increasing order."""
+    if len(rows) == d:
+        yield rows
+        return
+    for u in range(rows[-1] + 1 if rows else 1, 1 << n):
+        if u not in span:
+            yield from _independent_sets(n, d, rows + (u,), span | {v ^ u for v in span})
+
+
+def _echelon(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Independent rows in reduced row echelon form, ordered by pivot column."""
+    rest, out = list(rows), []
+    for c in range(n):
+        pick = next((r for r in rest if r >> c & 1), None)
+        if pick is not None:
+            rest.remove(pick)
+            rest = [r ^ pick if r >> c & 1 else r for r in rest]
+            out = [r ^ pick if r >> c & 1 else r for r in out] + [pick]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(1, n + 1)])
+def test_linear_systems_match_every_independent_row_set(n, d):
+    # every d-set of independent rows, reduced, deduplicated and sorted
+    assert linear_systems(n, d) == sorted({_echelon(rows, n) for rows in _independent_sets(n, d)})
+
+
+def test_linear_systems_count():
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            if count_subspaces(n, d) > SUBSPACE_ENUM_LIMIT:
+                with pytest.raises(ValueError, match="exceeds the limit"):
+                    linear_systems(n, d)
+            else:
+                assert len(linear_systems(n, d)) == count_subspaces(n, d) >> d
 
 
 def test_subspace_builder_rejects_improper_systems():

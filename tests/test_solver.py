@@ -20,6 +20,7 @@ from f2cover.bounds import g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import AffineSubspace, enumerate_subspaces, solution_bits
+from f2cover import covers as covers_module
 from f2cover import solver as solver_module
 from f2cover.solver import STATUSES, _BudgetExhausted, _Search, decide, solve_g, solve_min
 
@@ -192,6 +193,40 @@ def test_witness_scale_node_counts_are_pinned():
     assert (deeper.status, deeper.value, deeper.nodes) == ("feasible", 27, 27)
 
 
+def test_find_first_builds_few_member_masks(monkeypatch):
+    # A member's point mask is built when a node scores or places it, so a
+    # find-first run over 10,668 members builds about one per node.
+    built = []
+
+    class Recorded(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(solver_module, "_Search", Recorded)
+    result = decide(7, 3, 2, 16, s=0)
+    (search,) = built
+    assert (result.status, result.nodes, len(search.masks)) == ("feasible", 16, 10_668)
+    assert sum(1 for m in search.masks if m) <= result.nodes + 1
+
+
+def test_each_seed_is_verified_once(monkeypatch):
+    # lemma31_cover and smax_cover verify themselves as they are built;
+    # _best_seed reads their origin counts from the entries.  Every verify
+    # is one full pass over the 2^16 points.
+    passes = []
+    profile = covers_module._profile_bytes
+    monkeypatch.setattr(covers_module, "_profile_bytes", lambda C: passes.append(C) or profile(C))
+    best = solver_module._best_seed(16, 3, 1, 0, 2, None, None)
+    assert len(passes) == 2
+    monkeypatch.setattr(covers_module, "_profile_bytes", profile)
+    assert best == passes[0] == lemma31_cover(16, 3, 1)
+    # the entry count agrees with verify, and each window takes what fits
+    assert [verify(C, 3).origin_count for C in passes] == [1, 2]
+    assert solver_module._best_seed(16, 3, 1, 2, 2, None, None) == passes[1]
+    assert solver_module._best_seed(16, 3, 1, 0, 0, None, None) is None
+
+
 def test_a_cover_at_the_root_bound_ends_the_run():
     # No construction fits s=0; the first cover the search finds meets the
     # root bound, so nothing is left to prove (100,001 nodes without the stop).
@@ -212,7 +247,7 @@ def test_candidate_order_is_by_score_then_index(n, d):
     # deficient point has no usable coverer.
     rng = random.Random(10 * n + d)
     search = _Search(n, 2, d, False, None, None)
-    masks, coverers = search.masks, search.coverer_masks
+    masks, coverers = [search.mask(i) for i in range(len(search.masks))], search.coverer_masks
     tried: list[int] = []
     sides = set()
 
@@ -398,7 +433,8 @@ def test_fresh_members_form_two_orbits(normals):
     assert orbits == fixed | (fresh - {frozenset()})
 
 
-INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), (7, 3)]
+# (9, 1): normals wider than one byte
+INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), (7, 3), (9, 1)]
 
 
 @pytest.mark.parametrize("n,d", INDEX_CELLS)
@@ -410,7 +446,7 @@ def test_pool_index_matches_naive_incidence(n, d):
     assert pool[search.root] == AffineSubspace(n, d, tuple(1 << j for j in range(d)), 1)
     members = [list(filter(S.contains_bits, range(1 << n))) for S in pool]
     assert [sorted(solution_bits(S)) for S in pool] == members
-    assert search.masks == [sum(1 << x for x in xs) for xs in members]
+    assert [search.mask(i) for i in range(len(pool))] == [sum(1 << x for x in xs) for xs in members]
     # coverer_masks[x] bit i: member i contains x (as a '0'/'1' string, high bit first)
     through = [bytearray(b"0" * len(members)) for _ in range(1 << n)]
     for i, xs in enumerate(members):

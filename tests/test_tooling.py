@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import f2cover
@@ -16,4 +17,21 @@ def test_no_assert_statements_in_src():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_src_imports_only_the_standard_library():
+    # the package has no runtime dependencies: every import names the
+    # standard library or the package itself
+    allowed = set(sys.stdlib_module_names) | {"f2cover"}
+    found = []
+    for path in sorted(Path(f2cover.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
