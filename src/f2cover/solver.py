@@ -10,16 +10,17 @@ placing a member is k mask operations, not a loop over its points.
 Branching follows deficient points: pick the worst uncovered point, try
 each of its usable coverers in turn, those through the most deficient
 points first, and forbid a tried coverer in the later siblings, so no
-multiset is reached twice.  A node with many coverers (the wide d >= 2
-pools) scores them all at once, one bit plane per score bit, and lists
-them lazily.  A run ends at a cover whose size meets the root bound for
-its origin count, since none smaller exists.  At d=1 only the first
-fresh coverer (normal outside the span of those placed) of each rhs is
-tried: the maps fixing the node make the others equivalent (orbital
-branching, see _Search).  Closed forms and the construction families
-shortcut the search whenever the root bounds already meet, so real
-branching only happens on cells where exhaustive search is the only
-known proof.
+multiset is reached twice.  A branch point's coverers lie in distinct
+linear systems, so a node with many of them (the wide d >= 2 pools)
+scores them all at once in bit planes one bit per system wide, and
+lists them lazily.  A run ends at a cover whose size meets the root
+bound for its origin count, since none smaller exists.  At d=1 only the
+first fresh coverer (normal outside the span of those placed) of each
+rhs is tried: the maps fixing the node make the others equivalent
+(orbital branching, see _Search).  Closed forms and the construction
+families shortcut the search whenever the root bounds already meet, so
+real branching only happens on cells where exhaustive search is the
+only known proof.
 
 f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
 so every call searches its origin window one exact count s at a time.
@@ -27,10 +28,12 @@ so every call searches its origin window one exact count s at a time.
 
 from __future__ import annotations
 
+import functools
 import struct
 import time
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import compress
 
 from .bounds import exact_thm_a, lb_origin_at_least
 from .codes import golay_cover
@@ -93,37 +96,35 @@ def _every(step: int, width: int) -> int:
     return ((1 << width) - 1) // ((1 << step) - 1)
 
 
-def _cosets(full: int, odd: list[int]) -> list[int]:
-    """Split full by parities: entry r keeps the bits x with bit t of r = [x in odd[t]]."""
-    terms = [full]
-    for q in odd:
-        terms = [x & (full ^ q) for x in terms] + [x & q for x in terms]
-    return terms
+@functools.cache
+def _block_table(d: int) -> bytes:
+    """bytes.translate table: bit o of entry v is set iff the o-th 2^d-bit
+    block of byte v has a set bit (a block of 8 or more bits: iff v != 0)."""
+    width = min(1 << d, 8)
+    lane = (1 << width) - 1
+    per = 8 // width
+    return bytes(sum(bool(v >> o * width & lane) << o for o in range(per)) for v in range(256))
 
 
-def _score_classes(cm: int, dm: int, coverer_masks: list[int], width: int) -> list[int]:
-    """cm split by score |masks[i] & dm|: the nonempty classes, highest score first.
+def _packed(flags: bytes, width: int) -> int:
+    """Byte m of flags at bit width * m up (width a power of two; below 8,
+    every byte is below 2^width)."""
+    if width >= 8:
+        spread = bytearray(len(flags) * (width >> 3))
+        spread[:: width >> 3] = flags
+        return int.from_bytes(spread, "little")
+    step = 8 // width
+    return sum(int.from_bytes(flags[o::step], "little") << o * width for o in range(step))
 
-    Bit t of every member's score sits in one plane, planes[t]; each point
-    of dm adds its coverers in cm with a ripple carry.  Scores are below
-    2^width.
-    """
-    planes = [0] * width
-    m = dm
-    while m:
-        b = m & -m
-        m ^= b
-        x = coverer_masks[b.bit_length() - 1] & cm
-        for t, plane in enumerate(planes):
-            planes[t] = plane ^ x
-            x &= plane
-            if not x:
-                break
-    classes = [cm]
-    for plane in reversed(planes):
-        rest = ~plane
-        classes = [part for c in classes for part in (c & plane, c & rest) if part]
-    return classes
+
+def _any_per_block(x: int, d: int, count: int) -> int:
+    """Bit j set iff x has a set bit in block j, bits j << d up to (j + 1) << d, for j < count."""
+    for t in range(3, d):
+        x |= x >> (1 << t)  # a block of several bytes ORed into its first
+    flags = x.to_bytes(((count << d) + 7) >> 3, "little")
+    if d > 3:
+        flags = flags[:: 1 << (d - 3)]
+    return _packed(flags.translate(_block_table(d)), max(1, 8 >> d))
 
 
 def _ascending(classes: list[int]):
@@ -145,9 +146,12 @@ class _Search:
 
     A call builds at most one of these.  Member (j << d) | r is coset r of
     systems[j], and member(i) decodes it.  Per point, the bit set of members
-    through it is built once, by a Gray-code walk over the points.  A
-    member's bit mask over the points is built on first use by mask(i);
-    masks[i] is 0 until then, as no member is empty.
+    through it is built once, by a Gray-code walk over the points that
+    swaps lanes within each system's block.  A member's bit mask over the
+    points is built on first use by mask(i); masks[i] is 0 until then, as
+    no member is empty.  Likewise kernel(x), the systems whose rows all
+    vanish at point x, one bit per system, is built when a wide node
+    first reads it; kernels holds the entries built so far.
     run(s, limit, floor) searches origin count exactly s, and stops at a
     cover of size floor, the root bound at s.  A search state is a
     few ints: lev[j-1] masks the points that still need at least j more
@@ -157,10 +161,12 @@ class _Search:
     exactly j, with no per-point loop; undo is keeping the parent's ints.
     A node tries its candidates by descending score, the points of lev[0]
     a member covers, lowest index first on a tie.  It scores them one by
-    one when there are at most score_bits per deficient point; otherwise
-    _score_classes adds each deficient point's coverers into score_bits
-    bit planes and splits the candidates into score classes, which
-    _ascending lists lazily, so a node whose first child finds the
+    one when there are at most score_bits per deficient point.  Otherwise
+    ranked works in system space: each candidate is through(j, p) for one
+    system j, and planes adds each deficient point's kernel entry into
+    score_bits bit planes one bit per system wide, 2^d times narrower
+    than the pool.  The planes split the systems into score classes,
+    which _ascending lists lazily, so a node whose first child finds the
     witness peels one 64-bit word.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
@@ -193,7 +199,9 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
-        # the coverer masks hold pool << n bits, as do the member masks once all are built
+        # the coverer masks hold pool << n bits, as do the member masks once
+        # all are built; kernel entries add at most (pool >> d) << n more,
+        # and only for the points that a wide node reads
         pool = count_subspaces(n, d)
         if pool << n > 1 << 32:
             raise ValueError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
@@ -208,42 +216,42 @@ class _Search:
         self.masks = [0] * size
         if _past(deadline):
             raise _BudgetExhausted
-        # qcol[t][c]: bit j << d set iff row t of systems[j] has bit c.  Row
-        # t of system j is little-endian 16-bit slot j of packed (the index
-        # cap keeps n <= 16); bit c of each slot goes to bit 0 of its low
-        # byte, and the low bytes are spread to one per 2^d-bit block.
+        # Bit c of row t of every system at once.  Row t of system j is
+        # little-endian 16-bit slot j of packed (the index cap keeps n <= 16);
+        # bit c of each slot goes to bit 0 of its low byte, one byte per
+        # system.  columns[t][c] packs those bytes one bit per system, and
+        # the kernels are built from it; spread to the first lane of each
+        # 2^d-bit block, they give the lane swaps of the walk below, against
+        # lanes[t], the lanes r of a block with bit t of r clear.
         lows = _every(16, len(systems) << 4)
-        qcol = []
-        for column in zip(*systems):
+        lanes = [sum(1 << r for r in range(block) if not r >> t & 1) for t in range(d)]
+        swaps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.columns = []
+        for t, column in enumerate(zip(*systems)):
             packed = int.from_bytes(struct.pack(f"<{len(systems)}H", *column), "little")
-            row = []
+            cols = []
             for c in range(n):
                 bits = (packed >> c & lows).to_bytes(len(systems) << 1, "little")[::2]
-                if block >= 8:
-                    spread = bytearray(size >> 3)
-                    spread[:: block >> 3] = bits
-                    row.append(int.from_bytes(spread, "little"))
-                else:
-                    per = 8 // block
-                    parts = (int.from_bytes(bits[o::per], "little") << o * block for o in range(per))
-                    row.append(sum(parts))
-            qcol.append(row)
-        # Q_t(p) = sum_j (u_{j,t} . p) << (j << d) is linear in p, so a Gray-code
-        # walk over the points updates each Q_t with one XOR and keeps only d
-        # of them alive.  p lies in coset r of block j iff bit j << d of
-        # Q_t(p) is bit t of r for every t.
-        every = _every(block, size)
-        q = [0] * d
+                cols.append(_packed(bits, 1))
+                if cols[-1]:
+                    swaps[c].append((1 << t, _packed(bits, block) * lanes[t]))
+            self.columns.append(cols)
+        self.kernels: dict[int, int] = {}
+        # Member (j << d) | r holds point p iff r = U_j p, bit t of r being
+        # row t of systems[j] dotted with p.  The origin lies in coset 0 of
+        # every system; flipping bit c of p flips bit t of r in each system
+        # whose row t has bit c, which swaps lanes r and r ^ (1 << t) in
+        # those blocks: one delta swap per row, in a Gray-code walk.
+        x = self.origin_pool = _every(block, size)
         self.coverer_masks = [0] * npts
-        for g in range(npts):
-            if g:
-                if (g & 255) == 0 and _past(deadline):
-                    raise _BudgetExhausted
-                c = (g & -g).bit_length() - 1
-                q = [qt ^ qcol[t][c] for t, qt in enumerate(q)]
-            cosets = _cosets(every, q)
-            self.coverer_masks[g ^ (g >> 1)] = sum(x << r for r, x in enumerate(cosets))
-        self.origin_pool = self.coverer_masks[0]
+        self.coverer_masks[0] = x
+        for g in range(1, npts):
+            if (g & 255) == 0 and _past(deadline):
+                raise _BudgetExhausted
+            for shift, lane in swaps[(g & -g).bit_length() - 1]:
+                y = (x >> shift ^ x) & lane
+                x ^= y | y << shift
+            self.coverer_masks[g ^ (g >> 1)] = x
         # Any valid cover owns an origin-avoiding member: all-through-origin
         # forces origin count == size <= k-1 < k, too few to cover any
         # nonzero point k times.  GL(n,2) is transitive on origin-avoiding
@@ -276,6 +284,59 @@ class _Search:
             m &= odd if i >> t & 1 else ~odd
         self.masks[i] = m
         return m
+
+    def kernel(self, x: int) -> int:
+        """The systems whose rows all vanish at point x, one bit per system,
+        built on first use and kept in kernels[x]."""
+        k = (1 << len(self.systems)) - 1
+        for cols in self.columns:
+            odd = 0
+            for c, col in enumerate(cols):
+                if x >> c & 1:
+                    odd ^= col
+            k &= ~odd
+        self.kernels[x] = k
+        return k
+
+    def through(self, j: int, p: int) -> int:
+        """The member of systems[j] that holds point p."""
+        rows = self.systems[j]
+        return j << self.d | sum(((u & p).bit_count() & 1) << t for t, u in enumerate(rows))
+
+    def planes(self, p: int, cs: int, dm: int) -> list[int]:
+        """The scores |mask(i) & dm| of the members i through point p of
+        the systems in cs, one bit plane per score bit: bit j of planes[t]
+        is bit t of the score of through(j, p).  That member holds point q
+        iff every row of systems[j] vanishes at p ^ q, so each q of dm adds
+        kernel(p ^ q) & cs with a ripple carry."""
+        kernels = self.kernels
+        planes = [0] * self.score_bits
+        m = dm
+        while m:
+            b = m & -m
+            m ^= b
+            q = p ^ (b.bit_length() - 1)
+            x = kernels.get(q)
+            if x is None:
+                x = self.kernel(q)
+            x &= cs
+            for t, plane in enumerate(planes):
+                planes[t] = plane ^ x
+                x &= plane
+                if not x:
+                    break
+        return planes
+
+    def ranked(self, p: int, cm: int, dm: int):
+        """The members of cm, all through point p, as (0, i) pairs in the
+        order of sorted((-|mask(i) & dm|, i)), listed lazily.  cm holds at
+        most one member per system, so it is gathered to one bit per
+        system; listing systems by index lists members by index."""
+        classes = [_any_per_block(cm, self.d, len(self.systems))]
+        for plane in reversed(self.planes(p, classes[0], dm)):
+            rest = ~plane
+            classes = [part for c in classes for part in (c & plane, c & rest) if part]
+        return ((0, self.through(j, p)) for j in _ascending(classes))
 
     def run(self, s: int, limit: int, floor: int) -> None:
         """Search origin count exactly s for covers of size <= limit; floor
@@ -358,13 +419,12 @@ class _Search:
         cm = coverer_masks[branch_p] & usable
         # The candidates are the best_cnt members of cm, tried in the order
         # of sorted((-|masks[i] & dm|, i)).  Scoring them one by one costs
-        # best_cnt steps; bit planes cost about score_bits * |dm| pool-wide
-        # ones, so the larger count picks the path: prove's d=1 nodes (about
-        # 3 candidates) stay narrow and witness's d >= 2 nodes (thousands)
-        # go wide.  The loop below reads only i of each pair.
+        # best_cnt steps; bit planes cost about score_bits * |dm| steps over
+        # one bit per system, so the larger count picks the path: prove's
+        # d=1 nodes (about 3 candidates) stay narrow and witness's d >= 2
+        # nodes (thousands) go wide.  The loop below reads only i of each pair.
         if best_cnt > self.score_bits * dm.bit_count():
-            classes = _score_classes(cm, dm, coverer_masks, self.score_bits)
-            cands = ((0, i) for i in _ascending(classes))
+            cands = self.ranked(branch_p, cm, dm)
         else:
             cands = []
             # one 64-bit word at a time: peeling bits off the whole pool-wide
@@ -490,9 +550,8 @@ def _best_seed(
 
 def _certificate(search: _Search) -> Cover:
     """The best cover of the last run, re-verified; raises if the search was wrong."""
-    C = Cover.from_entries(
-        (search.member(i), m) for i, m in enumerate(search.best_mult) if m > 0
-    )
+    best = search.best_mult
+    C = Cover.from_entries((search.member(i), best[i]) for i in compress(range(len(best)), best))
     report = verify(C, search.k)
     if not report.is_cover_for(search.k, search.s, search.s):
         raise AssertionError(

@@ -455,6 +455,84 @@ def test_pool_index_matches_naive_incidence(n, d):
     assert search.coverer_masks == [int(row[::-1], 2) for row in through]
 
 
+@pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (6, 3)])
+def test_kernel_entries_match_row_parity(n, d):
+    # kernel(x) bit j: x lies in the linear subspace of systems[j], that is,
+    # every row of the system has even overlap with x
+    search = _Search(n, 2, d, False, None, None)
+    for x in range(1 << n):
+        expected = sum(
+            1 << j for j, rows in enumerate(search.systems) if not any(_parity(u & x) for u in rows)
+        )
+        assert search.kernel(x) == expected == search.kernels[x]
+
+
+def test_kernel_entries_are_built_by_wide_nodes(monkeypatch):
+    # A whole table would hold (pool >> d) << n bits, 32 MiB at (14,1):
+    # the index builds none, and a search builds them as wide nodes read them.
+    search = _Search(14, 3, 1, False, None, None)
+    assert search.kernels == {}
+    calls = []
+    planes, kernel = _Search.planes, _Search.kernel
+    monkeypatch.setattr(_Search, "planes", lambda self, *a: calls.append("planes") or planes(self, *a))
+    monkeypatch.setattr(_Search, "kernel", lambda self, x: calls.append("kernel") or kernel(self, x))
+    decide(7, 3, 2, 16, s=0)
+    assert calls[0] == "planes" and 0 < calls.count("kernel") <= 1 << 7
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_any_per_block_matches_a_per_block_any(d):
+    # one bit per 2^d-bit block; counts that are not multiples of 8 leave a
+    # partial last byte, and 2^d >= 8 takes the byte-stride path
+    rng = random.Random(d)
+    width = 1 << d
+    for count in (1, 3, 8, 13, 64, 101):
+        draws = [0, (1 << (count * width)) - 1]
+        for _ in range(20):
+            # each block empty or holding one, or a random set, of its lanes
+            blocks = [rng.choice([0, 1 << rng.randrange(width), rng.getrandbits(width)])
+                      for _ in range(count)]
+            draws.append(sum(b << (j * width) for j, b in enumerate(blocks)))
+        for x in draws:
+            expected = sum(
+                1 << j for j in range(count) if any(x >> (j * width + r) & 1 for r in range(width))
+            )
+            assert solver_module._any_per_block(x, d, count) == expected
+
+
+@pytest.mark.parametrize("n,d", [(4, 1), (5, 1), (5, 2), (6, 3)])
+def test_system_scores_match_member_masks(n, d):
+    # At random node states, the bit planes over the systems in cs give
+    # each candidate (the usable member of its system through the branch
+    # point p) its score |mask(i) & dm|, counted here from its points.
+    rng = random.Random(100 * n + d)
+    search = _Search(n, 2, d, False, None, None)
+    pool = enumerate_subspaces(n, d)
+    points = [sum(1 << x for x in range(1 << n) if S.contains_bits(x)) for S in pool]
+    nsys = len(search.systems)
+    wide = 0
+    for _ in range(40):
+        usable = rng.getrandbits(len(pool)) | rng.getrandbits(len(pool))
+        p = rng.randrange(1 << n)
+        dm = 1 << p
+        for _ in range(rng.choice([0, 1, 2, 1 << n])):
+            dm |= 1 << rng.randrange(1 << n)
+        cm = [i for i in range(len(pool)) if usable >> i & 1 and points[i] >> p & 1]
+        systems = [i >> d for i in cm]
+        assert len(set(systems)) == len(systems)  # one candidate per system
+        cs = solver_module._any_per_block(sum(1 << i for i in cm), d, nsys)
+        assert cs == sum(1 << j for j in systems)
+        planes = search.planes(p, cs, dm)
+        scores = [sum((plane >> j & 1) << t for t, plane in enumerate(planes)) for j in range(nsys)]
+        expected = [0] * nsys
+        for i in cm:
+            expected[i >> d] = (points[i] & dm).bit_count()
+        assert scores == expected
+        assert [search.through(j, p) for j in systems] == cm
+        wide += len(cm) > search.score_bits * dm.bit_count()
+    assert wide > 0
+
+
 def test_time_budget_bounds_pool_build():
     # a 173,740-subspace pool: the index build itself must watch the clock
     start = time.monotonic()
