@@ -474,8 +474,12 @@ def test_kernel_entries_are_built_by_wide_nodes(monkeypatch):
     assert search.kernels == {}
     calls = []
     planes, kernel = _Search.planes, _Search.kernel
-    monkeypatch.setattr(_Search, "planes", lambda self, *a: calls.append("planes") or planes(self, *a))
-    monkeypatch.setattr(_Search, "kernel", lambda self, x: calls.append("kernel") or kernel(self, x))
+    monkeypatch.setattr(
+        _Search, "planes", lambda self, *a: calls.append("planes") or planes(self, *a)
+    )
+    monkeypatch.setattr(
+        _Search, "kernel", lambda self, x: calls.append("kernel") or kernel(self, x)
+    )
     decide(7, 3, 2, 16, s=0)
     assert calls[0] == "planes" and 0 < calls.count("kernel") <= 1 << 7
 
