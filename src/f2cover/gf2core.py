@@ -325,11 +325,8 @@ def linear_systems(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_subspaces(n: int, d: int) -> list[AffineSubspace]:
-    """All codim-d affine subspaces of F_2^n, deduplicated, in canonical order.
-
-    Canonical order sorts by normals before rhs, so member (j << d) | r is
-    coset rhs=r of linear_systems(n, d)[j].
-    """
+    """All codim-d affine subspaces of F_2^n, deduplicated, in canonical order
+    (by normals, then rhs)."""
     return [
         AffineSubspace(n=n, d=d, normals=rows, rhs=rhs)
         for rows in linear_systems(n, d)

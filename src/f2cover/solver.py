@@ -1,26 +1,26 @@
 """Depth-first branch-and-bound for minimum multiplicity covers.
 
 The pool is every codimension-d affine subspace of F_2^n, numbered by
-construction: member (j << d) | r is coset rhs=r of the j-th linear
-system of gf2core.linear_systems, and only a certificate's members are
-ever built as AffineSubspace objects.  A search state is a multiset over
-the pool.  What the search reads of it is bit-sliced by need: one mask
-per level j of the points still needing at least j more copies, so
-placing a member is k mask operations, not a loop over its points.
-Branching follows deficient points: pick the worst uncovered point, try
-each of its usable coverers in turn, those through the most deficient
-points first, and forbid a tried coverer in the later siblings, so no
-multiset is reached twice.  A branch point's coverers lie in distinct
-linear systems, so a node with many of them (the wide d >= 2 pools)
-scores them all at once in bit planes one bit per system wide, and
+construction coset-major: member r*S + j is coset rhs=r of the j-th of
+the S linear systems of gf2core.linear_systems, and only a certificate's
+members are ever built as AffineSubspace objects.  A search state is a
+multiset over the pool.  What the search reads of it is bit-sliced by
+need: one mask per level j of the points still needing at least j more
+copies, so placing a member is k mask operations, not a loop over its
+points.  Branching follows deficient points: pick the worst uncovered
+point, try each of its usable coverers in turn, those through the most
+deficient points first, and forbid a tried coverer in the later
+siblings, so no multiset is reached twice.  A branch point's coverers
+lie in distinct linear systems, so a node with many of them (the wide
+d >= 2 pools) scores them all at once in bit planes one slab wide, and
 lists them lazily.  A run ends at a cover whose size meets the root
 bound for its origin count, since none smaller exists.  At d=1 only the
 first fresh coverer (normal outside the span of those placed) of each
 rhs is tried: the maps fixing the node make the others equivalent
 (orbital branching, see _Search).  Closed forms and the construction
 families shortcut the search whenever the root bounds already meet, so
-real branching only happens on cells where exhaustive search is the
-only known proof.
+real branching only happens on cells where exhaustive search is the only
+known proof.
 
 f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
 so every call searches its origin window one exact count s at a time.
@@ -28,7 +28,6 @@ so every call searches its origin window one exact count s at a time.
 
 from __future__ import annotations
 
-import functools
 import struct
 import time
 from contextlib import suppress
@@ -96,37 +95,6 @@ def _every(step: int, width: int) -> int:
     return ((1 << width) - 1) // ((1 << step) - 1)
 
 
-@functools.cache
-def _block_table(d: int) -> bytes:
-    """bytes.translate table: bit o of entry v is set iff the o-th 2^d-bit
-    block of byte v has a set bit (a block of 8 or more bits: iff v != 0)."""
-    width = min(1 << d, 8)
-    lane = (1 << width) - 1
-    per = 8 // width
-    return bytes(sum(bool(v >> o * width & lane) << o for o in range(per)) for v in range(256))
-
-
-def _packed(flags: bytes, width: int) -> int:
-    """Byte m of flags at bit width * m up (width a power of two; below 8,
-    every byte is below 2^width)."""
-    if width >= 8:
-        spread = bytearray(len(flags) * (width >> 3))
-        spread[:: width >> 3] = flags
-        return int.from_bytes(spread, "little")
-    step = 8 // width
-    return sum(int.from_bytes(flags[o::step], "little") << o * width for o in range(step))
-
-
-def _any_per_block(x: int, d: int, count: int) -> int:
-    """Bit j set iff x has a set bit in block j, bits j << d up to (j + 1) << d, for j < count."""
-    for t in range(3, d):
-        x |= x >> (1 << t)  # a block of several bytes ORed into its first
-    flags = x.to_bytes(((count << d) + 7) >> 3, "little")
-    if d > 3:
-        flags = flags[:: 1 << (d - 3)]
-    return _packed(flags.translate(_block_table(d)), max(1, 8 >> d))
-
-
 def _ascending(classes: list[int]):
     """The set bits of each class in turn, lowest first, found lazily: a
     search that takes only the first candidate peels one 64-bit word."""
@@ -144,14 +112,14 @@ def _ascending(classes: list[int]):
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
-    A call builds at most one of these.  Member (j << d) | r is coset r of
-    systems[j], and member(i) decodes it.  Per point, the bit set of members
-    through it is built once, by a Gray-code walk over the points that
-    swaps lanes within each system's block.  A member's bit mask over the
-    points is built on first use by mask(i); masks[i] is 0 until then, as
-    no member is empty.  Likewise kernel(x), the systems whose rows all
-    vanish at point x, one bit per system, is built when a wide node
-    first reads it; kernels holds the entries built so far.
+    A call builds at most one of these.  With S = len(systems), member
+    r*S + j is coset r of systems[j], and member(i) decodes it: the pool's
+    bits are 2^d slabs of S bits, slab r holding coset r of every system.
+    Per point, the bit set of members through it is built once, by a
+    Gray-code walk over the points that swaps whole slabs' bits.  Its slab
+    0 is the set of systems whose linear subspace holds the point.  A
+    member's bit mask over the points is built on first use by mask(i);
+    masks[i] is 0 until then, as no member is empty.
     run(s, limit, floor) searches origin count exactly s, and stops at a
     cover of size floor, the root bound at s.  A search state is a
     few ints: lev[j-1] masks the points that still need at least j more
@@ -160,14 +128,15 @@ class _Search:
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
     A node tries its candidates by descending score, the points of lev[0]
-    a member covers, lowest index first on a tie.  It scores them one by
-    one when there are at most score_bits per deficient point.  Otherwise
-    ranked works in system space: each candidate is through(j, p) for one
-    system j, and planes adds each deficient point's kernel entry into
-    score_bits bit planes one bit per system wide, 2^d times narrower
-    than the pool.  The planes split the systems into score classes,
-    which _ascending lists lazily, so a node whose first child finds the
-    witness peels one 64-bit word.
+    a member covers, lowest system index first on a tie.  It scores them
+    one by one when there are at most score_bits per deficient point.
+    Otherwise ranked works in slab 0: each candidate is through(j, p) for
+    one system j, so folding the slabs onto slab 0 gives the candidates'
+    systems, and planes adds slab 0 of each deficient point's coverer mask
+    into score_bits bit planes S bits wide, 2^d times narrower than the
+    pool.  The planes split the systems into score classes, which
+    _ascending lists lazily, so a node whose first child finds the witness
+    peels one 64-bit word.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
 
@@ -199,50 +168,44 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
-        # the coverer masks hold pool << n bits, as do the member masks once
-        # all are built; kernel entries add at most (pool >> d) << n more,
-        # and only for the points that a wide node reads
+        # the coverer masks hold pool << n bits: the whole index but the
+        # member masks, which a search builds as it reads them
         pool = count_subspaces(n, d)
         if pool << n > 1 << 32:
             raise ValueError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
         self.systems = systems = linear_systems(n, d)
-        size = len(systems) << d
+        S = len(systems)
         npts = 1 << n
         self.npts = npts
-        block = 1 << d
         # coords[c]: the points with bit c set; member masks are built from
         # them on first use (mask), since a find-first run reads a handful
         self.coords = [_every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c) for c in range(n)]
-        self.masks = [0] * size
+        self.masks = [0] * (S << d)
         if _past(deadline):
             raise _BudgetExhausted
         # Bit c of row t of every system at once.  Row t of system j is
         # little-endian 16-bit slot j of packed (the index cap keeps n <= 16);
         # bit c of each slot goes to bit 0 of its low byte, one byte per
-        # system.  columns[t][c] packs those bytes one bit per system, and
-        # the kernels are built from it; spread to the first lane of each
-        # 2^d-bit block, they give the lane swaps of the walk below, against
-        # lanes[t], the lanes r of a block with bit t of r clear.
-        lows = _every(16, len(systems) << 4)
-        lanes = [sum(1 << r for r in range(block) if not r >> t & 1) for t in range(d)]
+        # system, and col packs those bytes one bit per system.  Repeated in
+        # slabs[t], the slabs r with bit t of r clear, it gives the slab
+        # swaps of the walk below.
+        lows = _every(16, S << 4)
+        slabs = [sum(1 << r * S for r in range(1 << d) if not r >> t & 1) for t in range(d)]
         swaps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.columns = []
         for t, column in enumerate(zip(*systems)):
-            packed = int.from_bytes(struct.pack(f"<{len(systems)}H", *column), "little")
-            cols = []
+            packed = int.from_bytes(struct.pack(f"<{S}H", *column), "little")
             for c in range(n):
-                bits = (packed >> c & lows).to_bytes(len(systems) << 1, "little")[::2]
-                cols.append(_packed(bits, 1))
-                if cols[-1]:
-                    swaps[c].append((1 << t, _packed(bits, block) * lanes[t]))
-            self.columns.append(cols)
-        self.kernels: dict[int, int] = {}
-        # Member (j << d) | r holds point p iff r = U_j p, bit t of r being
-        # row t of systems[j] dotted with p.  The origin lies in coset 0 of
-        # every system; flipping bit c of p flips bit t of r in each system
-        # whose row t has bit c, which swaps lanes r and r ^ (1 << t) in
-        # those blocks: one delta swap per row, in a Gray-code walk.
-        x = self.origin_pool = _every(block, size)
+                bits = (packed >> c & lows).to_bytes(S << 1, "little")[::2]
+                col = sum(int.from_bytes(bits[o::8], "little") << o for o in range(8))
+                if col:
+                    swaps[c].append((S << t, col * slabs[t]))
+        # Member r*S + j holds point p iff r = U_j p, bit t of r being row t
+        # of systems[j] dotted with p.  The origin lies in coset 0 of every
+        # system, slab 0; flipping bit c of p flips bit t of r in each system
+        # whose row t has bit c, which swaps those systems' bits between
+        # slabs r and r ^ (1 << t): one delta swap per row, in a Gray-code
+        # walk.
+        x = self.origin_pool = (1 << S) - 1
         self.coverer_masks = [0] * npts
         self.coverer_masks[0] = x
         for g in range(1, npts):
@@ -257,9 +220,9 @@ class _Search:
         # nonzero point k times.  GL(n,2) is transitive on origin-avoiding
         # codim-d subspaces and fixes the origin count, so every run
         # preplaces one canonical representative: systems[0] is the least
-        # tuple, e_1..e_d, and member 1 is its coset with rhs 1 (x_1 = 1,
+        # tuple, e_1..e_d, and member S is its coset with rhs 1 (x_1 = 1,
         # x_2 = ... = x_d = 0).
-        self.root = 1
+        self.root = S
         self.nodes = 0
         self.cov_shift = n - d
         self.cov = 1 << (n - d)
@@ -267,59 +230,44 @@ class _Search:
         self.score_bits = n - d + 1
 
     def member(self, i: int) -> AffineSubspace:
-        """Pool member i: coset rhs = i mod 2^d of systems[i >> d]."""
-        d = self.d
-        return AffineSubspace(self.n, d, self.systems[i >> d], i & ((1 << d) - 1))
+        """Pool member i: coset rhs = i // S of systems[i % S]."""
+        r, j = divmod(i, len(self.systems))
+        return AffineSubspace(self.n, self.d, self.systems[j], r)
 
     def mask(self, i: int) -> int:
         """Point mask of member i, built on first use and kept in masks[i]:
         the AND over its rows t of the parity pattern of the row's normal,
-        complemented where bit t of the rhs (bit t of i) is 0."""
+        complemented where bit t of the rhs is 0."""
+        r, j = divmod(i, len(self.systems))
         m = (1 << self.npts) - 1
-        for t, u in enumerate(self.systems[i >> self.d]):
+        for t, u in enumerate(self.systems[j]):
             odd = 0
             for c, pattern in enumerate(self.coords):
                 if u >> c & 1:
                     odd ^= pattern
-            m &= odd if i >> t & 1 else ~odd
+            m &= odd if r >> t & 1 else ~odd
         self.masks[i] = m
         return m
 
-    def kernel(self, x: int) -> int:
-        """The systems whose rows all vanish at point x, one bit per system,
-        built on first use and kept in kernels[x]."""
-        k = (1 << len(self.systems)) - 1
-        for cols in self.columns:
-            odd = 0
-            for c, col in enumerate(cols):
-                if x >> c & 1:
-                    odd ^= col
-            k &= ~odd
-        self.kernels[x] = k
-        return k
-
     def through(self, j: int, p: int) -> int:
         """The member of systems[j] that holds point p."""
-        rows = self.systems[j]
-        return j << self.d | sum(((u & p).bit_count() & 1) << t for t, u in enumerate(rows))
+        r = sum(((u & p).bit_count() & 1) << t for t, u in enumerate(self.systems[j]))
+        return r * len(self.systems) + j
 
     def planes(self, p: int, cs: int, dm: int) -> list[int]:
         """The scores |mask(i) & dm| of the members i through point p of
         the systems in cs, one bit plane per score bit: bit j of planes[t]
         is bit t of the score of through(j, p).  That member holds point q
-        iff every row of systems[j] vanishes at p ^ q, so each q of dm adds
-        kernel(p ^ q) & cs with a ripple carry."""
-        kernels = self.kernels
+        iff every row of systems[j] vanishes at p ^ q, that is, iff bit j
+        of coverer_masks[p ^ q] is set, so each q of dm adds
+        coverer_masks[p ^ q] & cs with a ripple carry."""
+        coverer_masks = self.coverer_masks
         planes = [0] * self.score_bits
         m = dm
         while m:
             b = m & -m
             m ^= b
-            q = p ^ (b.bit_length() - 1)
-            x = kernels.get(q)
-            if x is None:
-                x = self.kernel(q)
-            x &= cs
+            x = coverer_masks[p ^ (b.bit_length() - 1)] & cs
             for t, plane in enumerate(planes):
                 planes[t] = plane ^ x
                 x &= plane
@@ -328,15 +276,18 @@ class _Search:
         return planes
 
     def ranked(self, p: int, cm: int, dm: int):
-        """The members of cm, all through point p, as (0, i) pairs in the
-        order of sorted((-|mask(i) & dm|, i)), listed lazily.  cm holds at
-        most one member per system, so it is gathered to one bit per
-        system; listing systems by index lists members by index."""
-        classes = [_any_per_block(cm, self.d, len(self.systems))]
+        """The members of cm, all through point p, as (0, 0, i) triples in
+        the order of sorted((-|mask(i) & dm|, i % S)), listed lazily.  cm
+        holds at most one member per system, so folding its slabs onto
+        slab 0 gives its systems, one bit each."""
+        S = len(self.systems)
+        for t in range(self.d):
+            cm |= cm >> (S << t)
+        classes = [cm & self.origin_pool]
         for plane in reversed(self.planes(p, classes[0], dm)):
             rest = ~plane
             classes = [part for c in classes for part in (c & plane, c & rest) if part]
-        return ((0, self.through(j, p)) for j in _ascending(classes))
+        return ((0, 0, self.through(j, p)) for j in _ascending(classes))
 
     def run(self, s: int, limit: int, floor: int) -> None:
         """Search origin count exactly s for covers of size <= limit; floor
@@ -354,10 +305,11 @@ class _Search:
             usable &= ~self.origin_pool
         if k == 1:
             usable &= ~(1 << root)
-        # d=1 systems are (1,), (2,), ..., so normal u is members 2u-2, 2u-1
+        # d=1 systems are (1,), (2,), ..., so with S = root systems, normal u
+        # is members u-1 (rhs 0) and S+u-1 (rhs 1); the root's normal is 1
         self.span = [0, 1]
-        self.fresh = (1 << len(self.masks)) - 4 if self.d == 1 else 0
-        self.sides = (_every(2, len(self.masks)), _every(2, len(self.masks)) << 1)
+        self.fresh = ((1 << len(self.masks)) - 1) ^ (1 | 1 << root) if self.d == 1 else 0
+        self.sides = (self.origin_pool, self.origin_pool << root)
         # The preplaced member avoids the origin and each of its self.cov
         # points needs k, so it only lowers the top level; an emptied top
         # level is dropped.
@@ -416,13 +368,15 @@ class _Search:
                 if best_cnt < 0 or cnt < best_cnt:
                     best_cnt, branch_p = cnt, p
         masks = self.masks
+        S = len(self.systems)
         cm = coverer_masks[branch_p] & usable
-        # The candidates are the best_cnt members of cm, tried in the order
-        # of sorted((-|masks[i] & dm|, i)).  Scoring them one by one costs
-        # best_cnt steps; bit planes cost about score_bits * |dm| steps over
-        # one bit per system, so the larger count picks the path: prove's
-        # d=1 nodes (about 3 candidates) stay narrow and witness's d >= 2
-        # nodes (thousands) go wide.  The loop below reads only i of each pair.
+        # The candidates are the best_cnt members of cm, one per system,
+        # tried in the order of sorted((-|masks[i] & dm|, i % S)).  Scoring
+        # them one by one costs best_cnt steps; bit planes cost about
+        # score_bits * |dm| steps over one slab, so the larger count picks
+        # the path: prove's d=1 nodes (about 3 candidates) stay narrow and
+        # witness's d >= 2 nodes (thousands) go wide.  The loop below reads
+        # only i of each triple.
         if best_cnt > self.score_bits * dm.bit_count():
             cands = self.ranked(branch_p, cm, dm)
         else:
@@ -438,7 +392,7 @@ class _Search:
                     b = w & -w
                     i = b.bit_length() + base
                     w ^= b
-                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
+                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i % S, i))
                 base += 64
             cands.sort()
         # exact[j]: the points whose need is exactly j+1; a member M takes
@@ -449,32 +403,39 @@ class _Search:
         mult = self.mult
         dir_lb = self.dir_lb
         fresh, span = self.fresh, self.span
-        for _, i in cands:
+        for _, _, i in cands:
             is_fresh = fresh >> i & 1
             if is_fresh and not usable >> i & 1:
                 continue  # its orbit's representative came first
             mult[i] += 1
-            # d=1 blocks are the two sides of one direction: member i | 1
-            # avoids the origin and member i & -2 goes through it
-            if dir_lb is None or dir_lb[mult[i | 1]][mult[i & -2]] <= self.limit:
+            # at d=1, members S + j and j are the two sides of one direction:
+            # the first avoids the origin and the second goes through it
+            if dir_lb is None or dir_lb[mult[S + i % S]][mult[i % S]] <= self.limit:
                 M = masks[i] or self.mask(i)
-                child = [D ^ (M & x) for D, x in zip(lev, exact)]
+                # loops: a comprehension closes over what it reads (Python
+                # 3.11), which makes M, i and S cell variables of every node
+                child = []
+                for D, x in zip(lev, exact):
+                    child.append(D ^ (M & x))
                 if not child[-1]:
                     child.pop()
                 cu = usable if mult[i] < k else usable ^ (1 << i)
                 if M & origin_last:
                     cu &= ~self.origin_pool
                 if is_fresh:
-                    grown = [v ^ ((i >> 1) + 1) for v in span]
-                    self.span = span + grown
-                    self.fresh = fresh & ~sum(3 << 2 * v - 2 for v in grown)
+                    # normal u joins the span, and with it each u ^ v, v in span
+                    u, wider, spanned = i % S + 1, list(span), 0
+                    for v in span:
+                        wider.append(v ^ u)
+                        spanned |= 1 << (v ^ u) - 1
+                    self.span, self.fresh = wider, fresh & ~(spanned * (1 | 1 << S))
                 self._node(child, def_total - (M & dm).bit_count(), size + 1, cu)
                 self.span, self.fresh = span, fresh
             # else the direction table proves the subtree (and i's orbit) empty
             mult[i] -= 1
             # exclusion: later siblings may not use member i, or its orbit
             if is_fresh:
-                usable &= ~(fresh & self.sides[i & 1])
+                usable &= ~(fresh & self.sides[i >= S])
             else:
                 usable ^= 1 << i
 

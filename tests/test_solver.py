@@ -193,6 +193,21 @@ def test_witness_scale_node_counts_are_pinned():
     assert (deeper.status, deeper.value, deeper.nodes) == ("feasible", 27, 27)
 
 
+def test_benchmark_node_counts_are_pinned():
+    # The eight cells of the prove and witness benchmark workloads.  A change
+    # in how candidates tie (member index against system index) moves these
+    # while the small pins above still pass.
+    proofs = [
+        decide(5, 4, 1, 9, s=0), solve_g(5, 3, 1, 0), solve_g(4, 5, 1, 2), solve_g(4, 6, 1, 1)
+    ]
+    assert [r.nodes for r in proofs] == [533, 563, 12_162, 55_303]
+    witnesses = [
+        decide(7, 3, 2, 16, s=0), decide(8, 3, 2, 18, s=0),
+        decide(6, 3, 3, 25, s=0), decide(7, 3, 3, 27, s=0),
+    ]
+    assert [r.nodes for r in witnesses] == [16, 18, 25, 27]
+
+
 def test_find_first_builds_few_member_masks(monkeypatch):
     # A member's point mask is built when a node scores or places it, so a
     # find-first run over 10,668 members builds about one per node.
@@ -243,8 +258,8 @@ def test_a_cover_at_the_root_bound_ends_the_run():
 def test_candidate_order_is_by_score_then_index(n, d):
     # Random node states on both sides of the choice between scoring each
     # candidate and bit planes: a node tries its branch point's usable
-    # coverers in the order sorted((-|masks[i] & dm|, i)), or none when a
-    # deficient point has no usable coverer.
+    # coverers in the order sorted((-|masks[i] & dm|, j)), j the index of
+    # member i's system, or none when a deficient point has no usable coverer.
     rng = random.Random(10 * n + d)
     search = _Search(n, 2, d, False, None, None)
     masks, coverers = [search.mask(i) for i in range(len(search.masks))], search.coverer_masks
@@ -268,14 +283,17 @@ def test_candidate_order_is_by_score_then_index(n, d):
         cnt, p = min(((coverers[p] & drawn).bit_count(), p) for p in points)
         cm = coverers[p] & drawn
         members = [i for i in range(len(masks)) if cm >> i & 1]
-        expected = sorted((-(masks[i] & dm).bit_count(), i) for i in members)
+        expected = sorted(
+            (-(masks[i] & dm).bit_count(), search.systems.index(search.member(i).normals), i)
+            for i in members
+        )
         if all(coverers[q] & drawn for q in points):
             sides.add(cnt > search.score_bits * len(points))
         else:
             expected = []
         tried.clear()
         search.run(0, 1 << 30, 0)
-        assert tried == [i for _, i in expected]
+        assert tried == [i for *_, i in expected]
     assert sides == {False, True}
 
 
@@ -440,7 +458,7 @@ INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), 
 @pytest.mark.parametrize("n,d", INDEX_CELLS)
 def test_pool_index_matches_naive_incidence(n, d):
     search = _Search(n, 2, d, False, None, None)
-    pool = enumerate_subspaces(n, d)
+    pool = sorted(enumerate_subspaces(n, d), key=lambda S: S.rhs)
     # certificates decode member indices through member(i)
     assert [search.member(i) for i in range(len(pool))] == pool
     assert pool[search.root] == AffineSubspace(n, d, tuple(1 << j for j in range(d)), 1)
@@ -457,62 +475,28 @@ def test_pool_index_matches_naive_incidence(n, d):
 
 @pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (6, 3)])
 def test_kernel_entries_match_row_parity(n, d):
-    # kernel(x) bit j: x lies in the linear subspace of systems[j], that is,
-    # every row of the system has even overlap with x
+    # slab 0 of coverer_masks[x], bit j: x lies in the linear subspace of
+    # systems[j], that is, every row of the system has even overlap with x
     search = _Search(n, 2, d, False, None, None)
     for x in range(1 << n):
         expected = sum(
             1 << j for j, rows in enumerate(search.systems) if not any(_parity(u & x) for u in rows)
         )
-        assert search.kernel(x) == expected == search.kernels[x]
+        assert search.coverer_masks[x] & search.origin_pool == expected
 
 
-def test_kernel_entries_are_built_by_wide_nodes(monkeypatch):
-    # A whole table would hold (pool >> d) << n bits, 32 MiB at (14,1):
-    # the index builds none, and a search builds them as wide nodes read them.
-    search = _Search(14, 3, 1, False, None, None)
-    assert search.kernels == {}
-    calls = []
-    planes, kernel = _Search.planes, _Search.kernel
-    monkeypatch.setattr(
-        _Search, "planes", lambda self, *a: calls.append("planes") or planes(self, *a)
-    )
-    monkeypatch.setattr(
-        _Search, "kernel", lambda self, x: calls.append("kernel") or kernel(self, x)
-    )
-    decide(7, 3, 2, 16, s=0)
-    assert calls[0] == "planes" and 0 < calls.count("kernel") <= 1 << 7
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_any_per_block_matches_a_per_block_any(d):
-    # one bit per 2^d-bit block; counts that are not multiples of 8 leave a
-    # partial last byte, and 2^d >= 8 takes the byte-stride path
-    rng = random.Random(d)
-    width = 1 << d
-    for count in (1, 3, 8, 13, 64, 101):
-        draws = [0, (1 << (count * width)) - 1]
-        for _ in range(20):
-            # each block empty or holding one, or a random set, of its lanes
-            blocks = [rng.choice([0, 1 << rng.randrange(width), rng.getrandbits(width)])
-                      for _ in range(count)]
-            draws.append(sum(b << (j * width) for j, b in enumerate(blocks)))
-        for x in draws:
-            expected = sum(
-                1 << j for j in range(count) if any(x >> (j * width + r) & 1 for r in range(width))
-            )
-            assert solver_module._any_per_block(x, d, count) == expected
-
-
-@pytest.mark.parametrize("n,d", [(4, 1), (5, 1), (5, 2), (6, 3)])
+@pytest.mark.parametrize("n,d", [(4, 1), (5, 1), (5, 2), (6, 3), (6, 4)])
 def test_system_scores_match_member_masks(n, d):
     # At random node states, the bit planes over the systems in cs give
     # each candidate (the usable member of its system through the branch
-    # point p) its score |mask(i) & dm|, counted here from its points.
+    # point p) its score |mask(i) & dm|, counted here from its points, and
+    # ranked lists the candidates by descending score, lowest system first.
+    # (6, 4) folds 16 slabs onto one.
     rng = random.Random(100 * n + d)
     search = _Search(n, 2, d, False, None, None)
-    pool = enumerate_subspaces(n, d)
+    pool = [search.member(i) for i in range(len(search.masks))]
     points = [sum(1 << x for x in range(1 << n) if S.contains_bits(x)) for S in pool]
+    index = {rows: j for j, rows in enumerate(search.systems)}
     nsys = len(search.systems)
     wide = 0
     for _ in range(40):
@@ -522,17 +506,19 @@ def test_system_scores_match_member_masks(n, d):
         for _ in range(rng.choice([0, 1, 2, 1 << n])):
             dm |= 1 << rng.randrange(1 << n)
         cm = [i for i in range(len(pool)) if usable >> i & 1 and points[i] >> p & 1]
-        systems = [i >> d for i in cm]
+        systems = [index[pool[i].normals] for i in cm]
         assert len(set(systems)) == len(systems)  # one candidate per system
-        cs = solver_module._any_per_block(sum(1 << i for i in cm), d, nsys)
-        assert cs == sum(1 << j for j in systems)
+        cs = sum(1 << j for j in systems)
         planes = search.planes(p, cs, dm)
         scores = [sum((plane >> j & 1) << t for t, plane in enumerate(planes)) for j in range(nsys)]
         expected = [0] * nsys
-        for i in cm:
-            expected[i >> d] = (points[i] & dm).bit_count()
+        for i, j in zip(cm, systems):
+            expected[j] = (points[i] & dm).bit_count()
         assert scores == expected
         assert [search.through(j, p) for j in systems] == cm
+        order = sorted((-expected[j], j, i) for i, j in zip(cm, systems))
+        ranked = search.ranked(p, sum(1 << i for i in cm), dm)
+        assert [i for *_, i in ranked] == [i for *_, i in order]
         wide += len(cm) > search.score_bits * dm.bit_count()
     assert wide > 0
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import f2cover
+from f2cover.solver import _Search
 
 
 def test_no_assert_statements_in_src():
@@ -35,3 +36,9 @@ def test_src_imports_only_the_standard_library():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_node_loop_holds_no_cell_variables():
+    # A closure inside _node (a generator over self, say) would make its
+    # captured names cell variables, read indirectly in every node.
+    assert _Search._node.__code__.co_cellvars == ()
