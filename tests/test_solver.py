@@ -485,6 +485,34 @@ def test_kernel_entries_match_row_parity(n, d):
         assert search.coverer_masks[x] & search.origin_pool == expected
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_any_per_block_matches_a_per_block_any(d):
+    # The block of systems[j] is its 2^d cosets, bit j of each slab: ranked
+    # folds a pool mask onto slab 0 and hands planes, as cs, one bit per
+    # system that has any member in the mask.
+    rng = random.Random(d)
+    width = 1 << d
+    for n in (d + 1, d + 2):
+        search = _Search(n, 2, d, False, None, None)
+        S = len(search.systems)
+        assert len(search.masks) == width * S
+        seen = []
+        search.planes = lambda p, cs, dm: seen.append(cs) or []
+        draws = [0, (1 << (width * S)) - 1]
+        for _ in range(20):
+            # each block empty or holding one, or a random set, of its cosets
+            blocks = [rng.choice([0, 1 << rng.randrange(width), rng.getrandbits(width)])
+                      for _ in range(S)]
+            draws.append(sum((b >> r & 1) << (r * S + j)
+                             for j, b in enumerate(blocks) for r in range(width)))
+        for x in draws:
+            search.ranked(0, x, 1)
+            expected = sum(
+                1 << j for j in range(S) if any(x >> (r * S + j) & 1 for r in range(width))
+            )
+            assert seen.pop() == expected
+
+
 @pytest.mark.parametrize("n,d", [(4, 1), (5, 1), (5, 2), (6, 3), (6, 4)])
 def test_system_scores_match_member_masks(n, d):
     # At random node states, the bit planes over the systems in cs give
