@@ -1,9 +1,9 @@
 """Closed-form bounds on minimum cover sizes and the interval ledger.
 
 f(n,k,d) is the least size of a (k,d)-cover of F_2^n; g(n,k,d;s) fixes the
-origin count at s.  Formula bounds are exact integers; the one genuinely
-irrational bound (the Hamming-style packing bound) is compared through an
-equivalent integer inequality so no floating-point ordering can leak in.
+origin count at s.  Every bound is an exact integer: the sphere-packing
+bound is the least length passing an integer inequality, so no
+floating-point ordering can leak in.
 propagate() closes a rectangle of [lo,hi] intervals under the dimension
 and multiplicity recursions and records which rule set each endpoint.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .gf2core import ParameterError, _check_problem, _json_int
@@ -70,41 +70,30 @@ def bounds_thm_bc(n: int, k: int, d: int) -> tuple[int, int] | None:
     return lo, _linear_value(n, k, d)
 
 
-def lb_hamming_s0(n: int, k: int) -> Fraction:
-    """Packing lower bound n + floor((k-1)/2) * log2(2n/(k-1)) on g(n,k,1;0).
-
-    The log2 factor is evaluated in double precision and returned as the
-    exact rational value of that evaluation; use hamming_ceil() whenever
-    an integer comparison is needed.
-    """
-    if k < 2 or n < 1:
-        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    t = (k - 1) // 2
-    if t == 0:
-        return Fraction(n)
-    return n + t * (Fraction(math.log2(2 * n)) - Fraction(math.log2(k - 1)))
+def _griesmer(n: int, delta: int) -> int:
+    """Griesmer's bound sum_{i<n} ceil(delta / 2^i) on the length of a binary
+    [N, n, >= delta] code (Griesmer, IBM J. Res. Dev. 4, 1960)."""
+    return sum(-(-delta >> i) for i in range(n))
 
 
-def hamming_ceil(n: int, k: int) -> int:
-    """Least integer m with m >= lb_hamming_s0(n,k), by exact integer arithmetic.
+def _sphere_packing(n: int, delta: int, start: int | None = None) -> int:
+    """Least N >= start (default n) with 2^(N-n) >= sum_{i<=t} C(N,i),
+    t = floor((delta-1)/2): the 2^n codewords of a binary [N, n, >= delta]
+    code own disjoint radius-t balls.  Once the test holds it holds for
+    every larger N, since the ball at most doubles when N grows by one, so
+    the result is max(start, the least such N)."""
+    t = (delta - 1) >> 1
+    N = n if start is None else start
+    while 1 << (N - n) < sum(math.comb(N, i) for i in range(t + 1)):
+        N += 1
+    return N
 
-    m >= n + t*log2(2n/(k-1)) iff (k-1)^t * 2^(m-n) >= (2n)^t, which is an
-    integer comparison; the search over the shift is a few steps.
-    """
-    if k < 2 or n < 1:
-        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    t = (k - 1) // 2
-    if t == 0:
-        return n
-    want = (2 * n) ** t
-    have = (k - 1) ** t
-    c = 0
-    while (have << c) < want:
-        c += 1
-    if c == 0:
-        while have >= (want << (1 - c)):
-            c -= 1
-    return n + c
+
+@lru_cache(maxsize=1 << 12)
+def _code_length(n: int, delta: int) -> int:
+    """The larger of the Griesmer and sphere-packing lengths of a binary
+    [N, n, >= delta] code."""
+    return _sphere_packing(n, delta, _griesmer(n, delta))
 
 
 def g_smax_formula(n: int, k: int, d: int) -> int:
@@ -258,7 +247,17 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     """Per-cell (tag, side, value) rows; side is 'lo', 'hi', or 'both'.
 
     The rows bound f(n,k,d), or g(n,k,d;s) when s is given.  The ledger,
-    the solver's root bound and the `bound` command all read this table.
+    the solver's root bounds and the `bound` command all read this table.
+
+    CodeLength, at d=1: let a cover of size N hold s members through the
+    origin (B) and N-s avoiding it (A).  A nonzero x lies in wt_A(x) members
+    of A, those u.x = 1, and in s - wt_B(x) members of B, so
+    wt_A(x) >= k - s + wt_B(x) >= k - s.  Hence x -> (u.x) over u in A is
+    an injective linear map onto a binary [N-s, n, >= k-s] code (the code
+    codes.code_from_cover builds), and N >= s + the Griesmer and
+    sphere-packing lengths of such a code.  The row is not monotone in s
+    (at (5,4,1) it reads 9, 10, 8, 8 for s = 0..3).  The f table takes the
+    least over s of the g rows at s, since f is the least g.
     """
     if s is not None:
         rules = [
@@ -267,6 +266,8 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
         ]
         if s == k - 1:
             rules.append(("GSmax", "both", g_smax_formula(n, k, d)))
+        if d == 1:
+            rules.append(("CodeLength", "lo", s + _code_length(n, k - s)))
         return rules
     rules = [("DoubleCount", "lo", lb_double_count(n, k, d))]
     a = exact_thm_a(n, k, d)
@@ -284,19 +285,40 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     rules.append(("Construction(smax)", "hi", g_smax_formula(n, k, d)))
     if d == 1 and n == k and k >= 4:
         rules.append(("Construction(diag)", "hi", 3 * k - 4))
+    if d == 1:
+        rules.append(("CodeLength", "lo", _least_g_lo(n, k)))
     return rules
+
+
+def _lo(rows) -> int:
+    return max(value for _, side, value in rows if side != "hi")
+
+
+@lru_cache(maxsize=1 << 12)
+def _least_g_lo(n: int, k: int) -> int:
+    """The least over s of the g(n,k,1;s) rows' lower bound, a bound on f."""
+    return min(_lo(_closed_form_rules(n, k, 1, s)) for s in range(k))
 
 
 def lb_origin_at_least(n: int, k: int, d: int, s: int) -> int:
     """Lower bound on the size of a (k,d)-cover of F_2^n with origin count >= s.
 
-    The DoubleCount and RestrictionDescent rows are nondecreasing in s, so
-    their value at s bounds every larger origin count; GSmax enters only at
-    s = k-1, the largest origin count a (k,d)-cover has; the f rows hold at
-    any origin count.
+    The f rows hold at any origin count.  Of the g rows at s, DoubleCount
+    and RestrictionDescent are nondecreasing in s, so their value at s
+    bounds every larger origin count, and GSmax enters only at s = k-1, the
+    largest origin count a (k,d)-cover has.  The CodeLength row at s is
+    left out: it is not monotone in s, so it bounds origin count exactly s
+    only (lb_origin_exactly).
     """
-    rows = _closed_form_rules(n, k, d) + _closed_form_rules(n, k, d, s)
-    return max(value for _, side, value in rows if side != "hi")
+    rows = _closed_form_rules(n, k, d, s)
+    return _lo(_closed_form_rules(n, k, d) + [r for r in rows if r[0] != "CodeLength"])
+
+
+def lb_origin_exactly(n: int, k: int, d: int, origins: range) -> dict[int, int]:
+    """{s: lower bound on a (k,d)-cover of F_2^n with origin count exactly s}
+    for s in origins: every f row and every g row at s."""
+    f = _lo(_closed_form_rules(n, k, d))
+    return {s: max(f, _lo(_closed_form_rules(n, k, d, s))) for s in origins}
 
 
 def _fold(rows, lo: int, hi: int) -> tuple[int, int]:

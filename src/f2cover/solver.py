@@ -14,7 +14,9 @@ siblings, so no multiset is reached twice.  A branch point's coverers
 lie in distinct linear systems, so a node with many of them (the wide
 d >= 2 pools) scores them all at once in bit planes one slab wide, and
 lists them lazily.  A run ends at a cover whose size meets the root
-bound for its origin count, since none smaller exists.  At d=1 only the
+bound for its origin count, since none smaller exists; at d=1 that bound
+counts the length of the binary code the cover's origin-avoiding members
+form (CodeLength in bounds._closed_form_rules).  At d=1 only the
 first fresh coverer (normal outside the span of those placed) of each
 rhs is tried: the maps fixing the node make the others equivalent
 (orbital branching, see _Search).  Closed forms and the construction
@@ -34,7 +36,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
 
-from .bounds import exact_thm_a, lb_origin_at_least
+from .bounds import exact_thm_a, lb_origin_at_least, lb_origin_exactly
 from .codes import golay_cover
 from .constructions import _points_cover, diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, verify
@@ -55,7 +57,8 @@ class SolveResult:
     'unknown' means a budget ran out before anything was found.  Every
     certificate is re-verified before it is returned.  assumptions lists
     any origin-window restriction the proof is conditional on; proof_lo
-    is the closed-form lower bound established at the root.
+    is the closed-form lower bound established at the root: the least
+    over the window of the bounds at each exact origin count.
     """
 
     status: str
@@ -128,9 +131,11 @@ class _Search:
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
     A node tries its candidates by descending score, the points of lev[0]
-    a member covers, lowest system index first on a tie.  It scores them
-    one by one when there are at most score_bits per deficient point.
-    Otherwise ranked works in slab 0: each candidate is through(j, p) for
+    a member covers.  On a tie the lowest system index goes first at
+    d >= 2, and the lowest member index at d=1, so there the members
+    through the origin come first.  It scores them one by one at d=1 and
+    when there are at most score_bits per deficient point.  Otherwise
+    ranked works in slab 0: each candidate is through(j, p) for
     one system j, so folding the slabs onto slab 0 gives the candidates'
     systems, and planes adds slab 0 of each deficient point's coverer mask
     into score_bits bit planes S bits wide, 2^d times narrower than the
@@ -228,6 +233,9 @@ class _Search:
         self.cov = 1 << (n - d)
         # a score, the points of dm in one member, is at most cov
         self.score_bits = n - d + 1
+        # equal scores are tried in the order of i % ties: system index at
+        # d >= 2, member index at d=1 (i < 2S)
+        self.ties = S if d > 1 else S << 1
 
     def member(self, i: int) -> AffineSubspace:
         """Pool member i: coset rhs = i // S of systems[i % S]."""
@@ -371,15 +379,19 @@ class _Search:
         S = len(self.systems)
         cm = coverer_masks[branch_p] & usable
         # The candidates are the best_cnt members of cm, one per system,
-        # tried in the order of sorted((-|masks[i] & dm|, i % S)).  Scoring
-        # them one by one costs best_cnt steps; bit planes cost about
-        # score_bits * |dm| steps over one slab, so the larger count picks
-        # the path: prove's d=1 nodes (about 3 candidates) stay narrow and
-        # witness's d >= 2 nodes (thousands) go wide.  The loop below reads
-        # only i of each triple.
-        if best_cnt > self.score_bits * dm.bit_count():
+        # tried in the order of sorted((-|masks[i] & dm|, i % ties)).  At
+        # d=1 a tie then puts the members through the origin (slab 0) first,
+        # which cuts prove's tree about 4x; at d >= 2 it would take
+        # decide(7,3,2,16,s=0) from 16 nodes past 100,000, so ties there go
+        # by system.  Scoring one by one costs best_cnt steps; bit planes
+        # cost about score_bits * |dm| steps over one slab, so at d >= 2 the
+        # larger count picks the path: witness's nodes (thousands of
+        # candidates) go wide.  ranked ties by system, so every d=1 node
+        # stays narrow.  The loop below reads only i of each triple.
+        if self.d > 1 and best_cnt > self.score_bits * dm.bit_count():
             cands = self.ranked(branch_p, cm, dm)
         else:
+            ties = self.ties
             cands = []
             # one 64-bit word at a time: peeling bits off the whole pool-wide
             # mask would copy it once per candidate; base is one below the
@@ -392,7 +404,7 @@ class _Search:
                     b = w & -w
                     i = b.bit_length() + base
                     w ^= b
-                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i % S, i))
+                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i % ties, i))
                 base += 64
             cands.sort()
         # exact[j]: the points whose need is exactly j+1; a member M takes
@@ -546,7 +558,8 @@ def _drive(
     """Common engine: cap=None minimises, cap=m decides existence at size <= m."""
     s_min, s_max, assumptions = window
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    lo = lb_origin_at_least(n, k, d, s_min)
+    floors = lb_origin_exactly(n, k, d, range(s_min, s_max + 1))
+    lo = min(floors.values())
     seed = _best_seed(n, k, d, s_min, s_max, extra_seed, deadline)
     deciding = cap is not None
     if deciding and seed is not None and seed.size <= cap:
@@ -559,16 +572,16 @@ def _drive(
     # The window splits by exact origin count; each single-s subproblem
     # carries much tighter direction tables than the window as a whole.
     # High s first: the known good covers sit at s >= k-2.  An s whose
-    # root bound is over the limit is skipped, and lb_origin_at_least is
-    # nondecreasing in s, so a root closure (a seed of size lo, or lo above
-    # the cap) skips them all and builds no pool.  No build or run starts
+    # root bound is over the limit is skipped.  lo is the least root bound
+    # over the window, so a root closure (a seed of size lo, or lo above
+    # the cap) skips every s and builds no pool.  No build or run starts
     # past the deadline.  After every run, also one a budget stopped, the
     # run's best cover is certified and lowers the limit; the status table
     # below is the only place a status is set.
     search: _Search | None = None
     exhausted = True
     for s in range(s_max, s_min - 1, -1):
-        floor = lb_origin_at_least(n, k, d, s)
+        floor = floors[s]
         if floor > limit:
             continue
         spent = search.nodes if search else 0

@@ -20,9 +20,7 @@ from f2cover.bounds import (
     bundled_search_anchors,
     format_table,
     g_smax_formula,
-    hamming_ceil,
     lb_double_count,
-    lb_hamming_s0,
     lb_origin_at_least,
     n0_report,
     origin_mult_floor,
@@ -39,6 +37,7 @@ from f2cover.constructions import (
 from f2cover.covers import restriction_census, verify
 from f2cover.gf2core import GFVector
 from f2cover.solver import solve_g, solve_min
+from test_bounds import hamming_ceil, lb_hamming_s0
 
 LONG = os.environ.get("F2COVER_LONG") == "1"
 

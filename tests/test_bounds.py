@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -20,16 +21,46 @@ from f2cover.bounds import (
     exact_thm_a,
     format_table,
     g_smax_formula,
-    hamming_ceil,
     is_fixpoint,
     jamison_value,
     lb_double_count,
     lb_g_restriction,
-    lb_hamming_s0,
     n0_report,
     origin_mult_floor,
     propagate,
 )
+from f2cover.bounds import _closed_form_rules, _code_length, _griesmer, _sphere_packing
+
+
+def lb_hamming_s0(n: int, k: int) -> Fraction:
+    """Packing lower bound n + floor((k-1)/2) * log2(2n/(k-1)) on g(n,k,1;0),
+    the exact rational value of its double-precision evaluation.  A
+    reference only: the integer CodeLength row dominates it."""
+    if k < 2 or n < 1:
+        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    t = (k - 1) // 2
+    if t == 0:
+        return Fraction(n)
+    return n + t * (Fraction(math.log2(2 * n)) - Fraction(math.log2(k - 1)))
+
+
+def hamming_ceil(n: int, k: int) -> int:
+    """Least integer m with m >= lb_hamming_s0(n,k), by exact integer arithmetic:
+    m >= n + t*log2(2n/(k-1)) iff (k-1)^t * 2^(m-n) >= (2n)^t."""
+    if k < 2 or n < 1:
+        raise ValueError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    t = (k - 1) // 2
+    if t == 0:
+        return n
+    want = (2 * n) ** t
+    have = (k - 1) ** t
+    c = 0
+    while (have << c) < want:
+        c += 1
+    if c == 0:
+        while have >= (want << (1 - c)):
+            c -= 1
+    return n + c
 
 
 def test_double_count_values():
@@ -85,6 +116,48 @@ def test_hamming_ceil_is_minimal(n, k):
 
     assert reaches(m - n)
     assert not reaches(m - n - 1)
+
+
+def test_griesmer_and_sphere_packing_match_their_definitions():
+    for n in range(1, 9):
+        for delta in range(1, 25):
+            griesmer = sum(math.ceil(Fraction(delta, 2**i)) for i in range(n))
+            assert _griesmer(n, delta) == griesmer, (n, delta)
+            # the least N whose space holds 2^n disjoint balls of radius t
+            t = (delta - 1) // 2
+            packs = [
+                N for N in range(n, n + 4 * delta + 8)
+                if 2**n * sum(math.comb(N, i) for i in range(t + 1)) <= 2**N
+            ]
+            assert _sphere_packing(n, delta) == packs[0], (n, delta)
+            assert _code_length(n, delta) == max(griesmer, packs[0]), (n, delta)
+    # the [7,4,3] Hamming code and the [23,12,7] Golay code are perfect
+    assert _sphere_packing(4, 3) == 7 and _sphere_packing(12, 7) == 23
+    assert _griesmer(12, 8) == 23 and _code_length(12, 8) == 23
+
+
+def test_sphere_packing_dominates_hamming_ceil():
+    # The integer sphere-packing length is never below the float packing
+    # bound it replaced, and it is above it in most cells.
+    above = 0
+    for n in range(1, 21):
+        for k in range(2, 41):
+            assert _sphere_packing(n, k) >= hamming_ceil(n, k), (n, k)
+            above += _sphere_packing(n, k) > hamming_ceil(n, k)
+    assert above == 753
+
+
+def test_code_length_row_is_not_monotone_in_s():
+    rows = [_closed_form_rules(5, 4, 1, s) for s in range(4)]
+    assert [v for r in rows for tag, side, v in r if tag == "CodeLength"] == [9, 10, 8, 8]
+    assert all(side == "lo" for r in rows for tag, side, _ in r if tag == "CodeLength")
+    assert not any(tag == "CodeLength" for tag, _, _ in _closed_form_rules(5, 4, 2, 1))
+
+
+def test_code_length_pins_f_12_4_without_anchors():
+    e = propagate(12, 4, 1).entry(12, 4)
+    assert (e.lo, e.hi) == (17, 17)
+    assert "CodeLength" in e.lo_provenance
 
 
 def test_fixed_origin_formulas():

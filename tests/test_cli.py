@@ -166,6 +166,11 @@ def test_bound_fixed_origin_rules(capsys):
     doc, _ = _out(capsys)
     tags = {r["tag"]: r["value"] for r in doc["rules"]}
     assert tags["RestrictionDescent"] == 10
+    # the code-length row is exact-s: it reads 10 at s=1, above RestrictionDescent
+    assert run(["bound", "--n", "5", "--k", "4", "--s", "1"]) == 0
+    doc, _ = _out(capsys)
+    assert {"tag": "CodeLength", "side": "lo", "value": 10} in doc["rules"]
+    assert (doc["lo"], doc["s"]) == (10, 1)
     # s out of range is a usage error, not a negative answer
     assert run(["bound", "--n", "5", "--k", "4", "--s", "4"]) == 2
 
@@ -224,10 +229,11 @@ def test_solve_fixed_origin_flags(capsys):
 
 
 def test_solve_stopped_by_a_budget_exits_3_with_its_best_cover(capsys):
-    assert run(["solve", "--n", "5", "--k", "4", "--budget-nodes", "1000"]) == 3
+    # f(6,4,1) = 11 is met by a seed, and proving it takes more than 1,000 nodes
+    assert run(["solve", "--n", "6", "--k", "4", "--budget-nodes", "1000"]) == 3
     doc, err = _out(capsys)
-    assert doc["status"] == "feasible" and doc["value"] == 10
-    assert doc["certificate"]["entries"] and "feasible value=10" in err
+    assert doc["status"] == "feasible" and doc["value"] == 11 and doc["nodes"] == 1001
+    assert doc["certificate"]["entries"] and "feasible value=11" in err
 
 
 def test_decide_exit_codes(capsys):

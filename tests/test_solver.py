@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import f2cover
-from f2cover.bounds import g_smax_formula
+from f2cover.bounds import _closed_form_rules, g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import AffineSubspace, enumerate_subspaces, solution_bits
@@ -195,12 +195,13 @@ def test_witness_scale_node_counts_are_pinned():
 
 def test_benchmark_node_counts_are_pinned():
     # The eight cells of the prove and witness benchmark workloads.  A change
-    # in how candidates tie (member index against system index) moves these
-    # while the small pins above still pass.
+    # in how candidates tie (member index at d=1, system index at d >= 2) or
+    # in the root bound at each origin count moves these while the small pins
+    # above still pass.  g(5,3,1;0) meets its CodeLength root bound after 9.
     proofs = [
         decide(5, 4, 1, 9, s=0), solve_g(5, 3, 1, 0), solve_g(4, 5, 1, 2), solve_g(4, 6, 1, 1)
     ]
-    assert [r.nodes for r in proofs] == [533, 563, 12_162, 55_303]
+    assert [r.nodes for r in proofs] == [533, 9, 2_643, 14_424]
     witnesses = [
         decide(7, 3, 2, 16, s=0), decide(8, 3, 2, 18, s=0),
         decide(6, 3, 3, 25, s=0), decide(7, 3, 3, 27, s=0),
@@ -254,12 +255,14 @@ def test_a_cover_at_the_root_bound_ends_the_run():
         assert report.is_cover_for(3) and report.origin_count == 0
 
 
-@pytest.mark.parametrize("n,d", [(5, 2), (6, 3)])
+@pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (6, 3)])
 def test_candidate_order_is_by_score_then_index(n, d):
     # Random node states on both sides of the choice between scoring each
     # candidate and bit planes: a node tries its branch point's usable
     # coverers in the order sorted((-|masks[i] & dm|, j)), j the index of
-    # member i's system, or none when a deficient point has no usable coverer.
+    # member i's system at d >= 2 and i itself at d=1, or none when a
+    # deficient point has no usable coverer.  Every d=1 node scores one by
+    # one; its orbit exclusions are switched off here.
     rng = random.Random(10 * n + d)
     search = _Search(n, 2, d, False, None, None)
     masks, coverers = [search.mask(i) for i in range(len(search.masks))], search.coverer_masks
@@ -269,6 +272,7 @@ def test_candidate_order_is_by_score_then_index(n, d):
     def node(lev, def_total, size, usable):
         if size == 1:  # the run's root: search the drawn state instead
             search.mult[search.root] = 0
+            search.fresh = 0
             _Search._node(search, [dm], dm.bit_count(), 1, drawn)
         else:
             tried.append(search.mult.index(1))
@@ -284,7 +288,8 @@ def test_candidate_order_is_by_score_then_index(n, d):
         cm = coverers[p] & drawn
         members = [i for i in range(len(masks)) if cm >> i & 1]
         expected = sorted(
-            (-(masks[i] & dm).bit_count(), search.systems.index(search.member(i).normals), i)
+            (-(masks[i] & dm).bit_count(),
+             i if d == 1 else search.systems.index(search.member(i).normals), i)
             for i in members
         )
         if all(coverers[q] & drawn for q in points):
@@ -300,7 +305,23 @@ def test_candidate_order_is_by_score_then_index(n, d):
 def test_origin_cap_node_count_is_pinned():
     # s >= 1 at d=1: the origin cap and the direction table both prune here
     result = solve_g(4, 4, 1, 1)
-    assert (result.status, result.value, result.nodes) == ("optimal", 9, 451)
+    assert (result.status, result.value, result.nodes) == ("optimal", 9, 197)
+
+
+def test_f651_node_count_is_pinned():
+    # The largest d=1 proof in the suite; a change that raises this says why.
+    result = solve_min(6, 5, 1)
+    assert (result.status, result.value, result.nodes) == ("optimal", 13, 627_171)
+
+
+def test_code_length_row_never_exceeds_a_proved_g():
+    for n in range(1, 6):
+        for k in range(1, 6):
+            for s in range(k):
+                (row,) = [v for tag, _, v in _closed_form_rules(n, k, 1, s) if tag == "CodeLength"]
+                result = solve_g(n, k, 1, s)
+                assert result.status == "optimal" and row <= result.value, (n, k, s)
+                assert result.proof_lo >= row, (n, k, s)
 
 
 @pytest.mark.parametrize(
@@ -309,7 +330,7 @@ def test_origin_cap_node_count_is_pinned():
         (lambda: decide(6, 3, 3, 25, s=0),
          "0e80603911eaad4e9a304f5f84ffa2d23ee2e8e9054d9e80b69d38f5d5fb3472"),
         (lambda: solve_g(4, 4, 1, 1),
-         "693078baef3d5e54806560b268d80c149347e37eda3628c9a8ead038f85c994e"),
+         "602274e7b70fb4f1008cdf3c9e2b43fd6b748df238515a425b7a559e93505d05"),
     ],
     ids=["decide633", "g4411"],
 )
@@ -583,13 +604,14 @@ def test_node_budget_accounting(max_nodes, status, nodes):
 
 
 def test_budget_stop_keeps_the_incumbent():
-    # No construction fits s=0 here.  The run holds a size-10 cover after
-    # 11 nodes but needs 2,992 to prove it, so a budget of 1,000 stops it.
-    result = solve_g(6, 3, 1, 0, max_nodes=1000)
-    assert (result.status, result.value, result.nodes) == ("feasible", 10, 1001)
-    report = verify(result.certificate, 3)
-    assert report.is_cover_for(3) and report.origin_count == 0
-    assert result.certificate.size == 10
+    # No construction fits s=0 here.  The run holds a size-11 cover within
+    # 1,000 nodes but needs 3,313 to prove it, so a budget of 1,000 stops it.
+    result = solve_g(6, 4, 1, 0, max_nodes=1000)
+    assert (result.status, result.value, result.nodes) == ("feasible", 11, 1001)
+    report = verify(result.certificate, 4)
+    assert report.is_cover_for(4) and report.origin_count == 0
+    assert result.certificate.size == 11
+    assert solve_g(6, 4, 1, 0).nodes == 3313
 
 
 @pytest.mark.parametrize(
@@ -609,6 +631,17 @@ def test_root_closures_build_no_pool(monkeypatch, call):
     monkeypatch.setattr(_Search, "__init__", refuse)
     result = call()
     assert result.nodes == 0 and result.status in ("optimal", "feasible", "infeasible")
+
+
+def test_code_length_closes_f_12_4_at_the_root(monkeypatch):
+    # CodeLength puts every origin count's root bound at 17 or more, which
+    # the Lemma 3.1 seed meets, so no pool is built
+    def refuse(self, *args):
+        raise AssertionError("a root-closed call built the pool")
+
+    monkeypatch.setattr(_Search, "__init__", refuse)
+    result = solve_min(12, 4, 1)
+    assert (result.status, result.value, result.proof_lo, result.nodes) == ("optimal", 17, 17, 0)
 
 
 def test_extra_seed_is_validated_and_used():
