@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -376,19 +377,28 @@ def propagate(
                 out.append(("KRecursionHi", "lo", lo[(n, k + 1)] - 2))
         return out
 
-    changed = True
-    while changed:
-        changed = False
-        for n, k in cells:
-            new_lo, new_hi = _fold(relational(n, k), lo[(n, k)], hi[(n, k)])
-            if new_lo != lo[(n, k)] or new_hi != hi[(n, k)]:
-                lo[(n, k)], hi[(n, k)] = new_lo, new_hi
-                changed = True
-            if new_lo > new_hi:
-                raise LedgerContradiction(
-                    f"f({n},{k},{d}): lower bound {new_lo} exceeds upper bound {new_hi}; "
-                    "check the anchor inputs"
-                )
+    # Worklist fixpoint: a cell's fold reads only its four neighbours, so it
+    # is refolded only after one of them moved.  lo only rises and hi only
+    # falls, so the fixpoint is the one any sweep order reaches, and every
+    # cell is checked at least once, at its final bounds.
+    queue = deque(cells)
+    queued = set(cells)
+    while queue:
+        cell = queue.popleft()
+        queued.remove(cell)
+        n, k = cell
+        new_lo, new_hi = _fold(relational(n, k), lo[cell], hi[cell])
+        if new_lo > new_hi:
+            raise LedgerContradiction(
+                f"f({n},{k},{d}): lower bound {new_lo} exceeds upper bound {new_hi}; "
+                "check the anchor inputs"
+            )
+        if new_lo != lo[cell] or new_hi != hi[cell]:
+            lo[cell], hi[cell] = new_lo, new_hi
+            for near in ((n - 1, k), (n + 1, k), (n, k - 1), (n, k + 1)):
+                if near in lo and near not in queued:
+                    queue.append(near)
+                    queued.add(near)
 
     ledger = BoundLedger(
         d=d, n_range=(d, n_max), k_range=(1, k_max), anchors=tuple(anchors)

@@ -16,6 +16,7 @@ with --s and --s-max.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -304,6 +305,9 @@ def _add_budgets(p: argparse.ArgumentParser) -> None:
                    help="extra seed cover JSON for the upper bound")
 
 
+# parse_args keeps no state on the parser and looks up sys.stdout and
+# sys.stderr when it prints, so one parser serves every run in a process
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2cover",

@@ -162,15 +162,23 @@ def _points_cover(n: int, k: int, s: int) -> Cover:
 def smax_cover(n: int, k: int, d: int) -> Cover:
     """(k,d;k-1)-cover of size n + 2^d k - d - 1, extremal at origin count k-1.
 
-    Base case n=d takes k copies of every nonzero point and k-1 of the
-    origin; each unit of extra ambient dimension is one lift.
+    Built in one pass: k copies of every nonzero point of F_2^d and k-1 of
+    the origin, each on rows e_1..e_d, plus for each m in d..n-1 the
+    subspace {x_(m+1)=1, x_1=...=x_(d-1)=0}.  That is the points cover of
+    F_2^d lifted n-d times, without re-sorting the cover once per lift.
     """
     size = g_smax_formula(n, k, d)
-    out = _points_cover(d, k, k - 1)
-    for _ in range(n - d):
-        out = lift(out)
+    prefix = tuple(1 << i for i in range(d - 1))
+    points = prefix + (1 << (d - 1),)
+    entries = [(AffineSubspace(n=n, d=d, normals=points, rhs=v), k) for v in range(1, 1 << d)]
+    if k > 1:
+        entries.append((AffineSubspace(n=n, d=d, normals=points, rhs=0), k - 1))
+    entries += [
+        (AffineSubspace(n=n, d=d, normals=prefix + (1 << m,), rhs=1 << (d - 1)), 1)
+        for m in range(d, n)
+    ]
     return _checked(
-        out, k, ConstructionTag("SMax", n=n, k=k, d=d, s=k - 1),
+        Cover.from_entries(entries), k, ConstructionTag("SMax", n=n, k=k, d=d, s=k - 1),
         expect_size=size,
     )
 

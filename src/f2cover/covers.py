@@ -184,9 +184,10 @@ def _profile_bytes(C: Cover) -> bytes:
         indicator = unit
         for i, u in enumerate(S.normals):
             pattern = 0
-            for c in range(u.bit_length()):
-                if u >> c & 1:
-                    pattern ^= coords[c]
+            while u:
+                low = u & -u
+                pattern ^= coords[low.bit_length() - 1]
+                u ^= low
             indicator &= pattern if S.rhs >> i & 1 else unit ^ pattern
         total += mult * indicator
     return total.to_bytes(4 << n, "little")

@@ -29,7 +29,7 @@ from f2cover.bounds import (
     origin_mult_floor,
     propagate,
 )
-from f2cover.bounds import _closed_form_rules, _code_length, _griesmer, _sphere_packing
+from f2cover.bounds import _closed_form_rules, _code_length, _fold, _griesmer, _sphere_packing
 
 
 def lb_hamming_s0(n: int, k: int) -> Fraction:
@@ -240,6 +240,72 @@ def test_propagate_detects_contradiction():
     bad = Anchor(n=3, k=2, d=1, hi=3, source="wrong")
     with pytest.raises(LedgerContradiction):
         propagate(3, 3, 1, (bad,))
+
+
+def propagate_round_robin(n_max, k_max, d, anchors):
+    """Reference for propagate: sweep every cell in order until none moves,
+    then credit each final bound to the rows that reach it.  Returns
+    {(n, k): (lo, hi, lo_provenance, hi_provenance)}."""
+    cells = [(n, k) for n in range(d, n_max + 1) for k in range(1, k_max + 1)]
+    rows = {(n, k): _closed_form_rules(n, k, d) for n, k in cells}
+    n_closed = {cell: len(r) for cell, r in rows.items()}
+    for a in anchors:
+        if a.d == d and (a.n, a.k) in rows:
+            rows[(a.n, a.k)] += [
+                (f"Anchor({a.source})", side, v)
+                for side, v in (("lo", a.lo), ("hi", a.hi)) if v is not None
+            ]
+    lo, hi = {}, {}
+    for n, k in cells:
+        lo[(n, k)], hi[(n, k)] = _fold(rows[(n, k)], 0, n + (k << d))
+
+    def relational(n, k):
+        out = []
+        if (n - 1, k) in lo:
+            out.append(("NRecursion", "lo", lo[(n - 1, k)] + 1))
+        if (n + 1, k) in hi:
+            out.append(("NRecursion", "hi", hi[(n + 1, k)] - 1))
+        if (n, k - 1) in lo:
+            out.append(("KRecursionLo", "lo", lo[(n, k - 1)] + 1))
+            if d == 1:
+                out.append(("KRecursionHi", "hi", hi[(n, k - 1)] + 2))
+        if (n, k + 1) in hi:
+            out.append(("KRecursionLo", "hi", hi[(n, k + 1)] - 1))
+            if d == 1:
+                out.append(("KRecursionHi", "lo", lo[(n, k + 1)] - 2))
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for n, k in cells:
+            new = _fold(relational(n, k), lo[(n, k)], hi[(n, k)])
+            if new != (lo[(n, k)], hi[(n, k)]):
+                lo[(n, k)], hi[(n, k)] = new
+                changed = True
+    out = {}
+    for n, k in cells:
+        m = n_closed[(n, k)]
+        ordered = rows[(n, k)][:m] + relational(n, k) + rows[(n, k)][m:]
+        out[(n, k)] = (
+            lo[(n, k)], hi[(n, k)],
+            tuple(t for t, side, v in ordered if side != "hi" and v == lo[(n, k)]),
+            tuple(t for t, side, v in ordered if side != "lo" and v == hi[(n, k)]),
+        )
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_propagate_matches_a_round_robin_sweep(d):
+    for anchors in ((), bundled_search_anchors()):
+        for n_max in range(d, 13):
+            for k_max in (1, 3, 8, 16):
+                led = propagate(n_max, k_max, d, anchors)
+                got = {
+                    (n, k): (e.lo, e.hi, e.lo_provenance, e.hi_provenance)
+                    for (n, k, _), e in led.cells.items()
+                }
+                assert got == propagate_round_robin(n_max, k_max, d, anchors), (n_max, k_max)
 
 
 def test_propagate_interval_without_anchors():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from f2cover.cli import run
+from f2cover.cli import build_parser, run
 from f2cover.constructions import gv_random_cover
 
 
@@ -24,6 +24,21 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["solve", "--what"]) == 2
+
+
+def test_the_shared_parser_keeps_no_state_between_runs(capsys):
+    assert build_parser() is build_parser()
+    smax = ["construct", "--family", "smax", "--n", "4", "--k", "3"]
+    assert run(smax) == 0
+    first = capsys.readouterr().out
+    assert run(["bogus"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["verify"]) == 2
+    assert "--k" in capsys.readouterr().err
+    assert run(smax) == 0
+    assert capsys.readouterr().out == first
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: f2cover")
 
 
 def test_construct_and_verify_pipe(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -152,3 +154,16 @@ def test_smax_base_case_is_the_points_cover(d, k):
     C = smax_cover(d, k, d)
     assert C.entries == _points_cover(d, k, k - 1).entries
     assert C.size == k * ((1 << d) - 1) + k - 1
+
+
+def test_smax_cover_is_the_points_cover_lifted():
+    # the one-pass build against its definition: n-d lifts of the n = d base
+    for n in range(1, 11):
+        for d in range(1, n + 1):
+            for k in range(1, 7):
+                ref = _points_cover(d, k, k - 1)
+                for _ in range(n - d):
+                    ref = lift(ref)
+                ref = ref.with_tag(ConstructionTag("SMax", n=n, k=k, d=d, s=k - 1))
+                got = smax_cover(n, k, d)
+                assert json.dumps(got.to_json()) == json.dumps(ref.to_json()), (n, k, d)
