@@ -160,25 +160,42 @@ def _check_counting(C: Cover) -> None:
         raise ValueError(f"cover size {C.size} above the coverage count limit 2^32 - 1")
 
 
+# The unit and coordinate patterns of _profile_bytes, kept per n up to
+# PATTERN_CACHE_MAX_N: (n + 1) * 4 * 2^n bytes each, 0.375 MiB for all
+# n <= 12 together.  Larger n rebuild theirs on every call: at n = 20 each
+# pattern is 4 MiB.
+PATTERN_CACHE_MAX_N = 12
+_patterns_by_n: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def _patterns(n: int) -> tuple[int, tuple[int, ...]]:
+    """unit, 1 in every field of 2^n, and coords[c], 1 in field x iff bit
+    c of x is set."""
+    if n in _patterns_by_n:
+        return _patterns_by_n[n]
+    zero4, one4 = bytes(4), (1).to_bytes(4, "little")
+    unit = int.from_bytes(one4 * (1 << n), "little")
+    coords = tuple(
+        int.from_bytes((zero4 * (1 << c) + one4 * (1 << c)) * (1 << (n - c - 1)), "little")
+        for c in range(n)
+    )
+    if n <= PATTERN_CACHE_MAX_N:
+        _patterns_by_n[n] = unit, coords
+    return unit, coords
+
+
 def _profile_bytes(C: Cover) -> bytes:
     """Per-point coverage as 2^n little-endian uint32 fields, point 0 first.
 
-    Field x of coords[c] holds bit c of x, and the parity pattern of a
-    normal u is the XOR of its coordinates' patterns.  An entry's
-    indicator is the AND over its rows of the pattern, complemented where
-    the rhs bit is 0, so the profile is one multiply-add per entry.  No
-    field carries: no count passes C.size, which _check_counting caps at
-    COUNT_LIMIT.  Patterns are not memoised: at n = 20 each is 4 MiB, and
-    rebuilding one from coords is a few XORs.
+    The parity pattern of a normal u is the XOR of its coordinates'
+    patterns (see _patterns).  An entry's indicator is the AND over its
+    rows of the pattern, complemented where the rhs bit is 0, so the
+    profile is one multiply-add per entry.  No field carries: no count
+    passes C.size, which _check_counting caps at COUNT_LIMIT.
     """
     _check_counting(C)
     n = C.n
-    zero4, one4 = bytes(4), (1).to_bytes(4, "little")
-    unit = int.from_bytes(one4 * (1 << n), "little")
-    coords = [
-        int.from_bytes((zero4 * (1 << c) + one4 * (1 << c)) * (1 << (n - c - 1)), "little")
-        for c in range(n)
-    ]
+    unit, coords = _patterns(n)
     total = 0
     for S, mult in C.entries:
         indicator = unit

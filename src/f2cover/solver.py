@@ -10,19 +10,21 @@ copies, so placing a member is k mask operations, not a loop over its
 points.  Branching follows deficient points: pick the worst uncovered
 point, try each of its usable coverers in turn, those through the most
 deficient points first, and forbid a tried coverer in the later
-siblings, so no multiset is reached twice.  A branch point's coverers
-lie in distinct linear systems, so a node with many of them (the wide
-d >= 2 pools) scores them all at once in bit planes one slab wide, and
-lists them lazily.  A run ends at a cover whose size meets the root
-bound for its origin count, since none smaller exists; at d=1 that bound
-counts the length of the binary code the cover's origin-avoiding members
-form (CodeLength in bounds._closed_form_rules).  At d=1 only the
-first fresh coverer (normal outside the span of those placed) of each
-rhs is tried: the maps fixing the node make the others equivalent
-(orbital branching, see _Search).  Closed forms and the construction
-families shortcut the search whenever the root bounds already meet, so
-real branching only happens on cells where exhaustive search is the only
-known proof.
+siblings, so no multiset is reached twice.  At d >= 2 the worst point
+is found over the 2^n points, from the few members a node excludes,
+rather than over the pool.  A branch point's coverers lie in distinct
+linear systems, so a node with many of them (the wide d >= 2 pools)
+scores them all at once in bit planes one slab wide, counting whichever
+side of the deficient points is smaller, and lists them lazily.  A run
+ends at a cover whose size meets the root bound for its origin count,
+since none smaller exists; at d=1 that bound counts the length of the
+binary code the cover's origin-avoiding members form (CodeLength in
+bounds._closed_form_rules).  At d=1 only the first fresh coverer
+(normal outside the span of those placed) of each rhs is tried: the maps
+fixing the node make the others equivalent (orbital branching, see
+_Search).  Closed forms and the construction families shortcut the
+search whenever the root bounds already meet, so real branching only
+happens on cells where exhaustive search is the only known proof.
 
 f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
 so every call searches its origin window one exact count s at a time.
@@ -40,7 +42,8 @@ from .bounds import exact_thm_a, lb_origin_at_least, lb_origin_exactly
 from .codes import golay_cover
 from .constructions import _points_cover, diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, verify
-from .gf2core import AffineSubspace, ParameterError, _check_problem, count_subspaces, linear_systems
+from .gf2core import (AffineSubspace, ParameterError, _check_problem, count_subspaces,
+                      gaussian_binomial, linear_systems)
 
 STATUSES = ("optimal", "feasible", "infeasible", "unknown")
 
@@ -130,6 +133,11 @@ class _Search:
     1..k), and the usable subset of the pool is one int.  Adding a member
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
+    A node branches on a top-level point with the fewest usable coverers.
+    At d=1, and at d >= 2 when usable excludes many members, it ANDs each
+    deficient point's coverer mask with usable.  Otherwise pick counts,
+    in bit planes over the points, the excluded members through each
+    point, one member mask each, and takes the point with the most.
     A node tries its candidates by descending score, the points of lev[0]
     a member covers.  On a tie the lowest system index goes first at
     d >= 2, and the lowest member index at d=1, so there the members
@@ -137,11 +145,13 @@ class _Search:
     when there are at most score_bits per deficient point.  Otherwise
     ranked works in slab 0: each candidate is through(j, p) for
     one system j, so folding the slabs onto slab 0 gives the candidates'
-    systems, and planes adds slab 0 of each deficient point's coverer mask
+    systems, and planes adds slab 0 of one point's coverer mask per point
     into score_bits bit planes S bits wide, 2^d times narrower than the
-    pool.  The planes split the systems into score classes, which
-    _ascending lists lazily, so a node whose first child finds the witness
-    peels one 64-bit word.
+    pool.  The points are those of lev[0], or those outside it when lev[0]
+    holds more than half, since a member's score is cov less the points
+    it holds outside lev[0].  The planes split the systems into score
+    classes, which _ascending lists lazily, so a node whose first child
+    finds the witness peels one 64-bit word.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
 
@@ -233,6 +243,10 @@ class _Search:
         self.cov = 1 << (n - d)
         # a score, the points of dm in one member, is at most cov
         self.score_bits = n - d + 1
+        # the members of slab 0 through each nonzero point: the linear
+        # codim-d subspaces of F_2^n holding it, one per such subspace of
+        # F_2^n / <p>
+        self.slab_cover = gaussian_binomial(n - 1, d)
         # equal scores are tried in the order of i % ties: system index at
         # d >= 2, member index at d=1 (i < 2S)
         self.ties = S if d > 1 else S << 1
@@ -287,15 +301,61 @@ class _Search:
         """The members of cm, all through point p, as (0, 0, i) triples in
         the order of sorted((-|mask(i) & dm|, i % S)), listed lazily.  cm
         holds at most one member per system, so folding its slabs onto
-        slab 0 gives its systems, one bit each."""
+        slab 0 gives its systems, one bit each.  Each member holds cov
+        points, so its score is cov less the points it holds outside dm:
+        when dm holds more than half the points, the planes count the
+        smaller side, its complement (origin included), and the classes
+        split low counts first."""
         S = len(self.systems)
         for t in range(self.d):
             cm |= cm >> (S << t)
         classes = [cm & self.origin_pool]
+        outside = dm.bit_count() > self.npts >> 1
+        if outside:
+            dm ^= (1 << self.npts) - 1
         for plane in reversed(self.planes(p, classes[0], dm)):
-            rest = ~plane
-            classes = [part for c in classes for part in (c & plane, c & rest) if part]
+            first, second = (~plane, plane) if outside else (plane, ~plane)
+            classes = [part for c in classes for part in (c & first, c & second) if part]
         return ((0, 0, self.through(j, p)) for j in _ascending(classes))
+
+    def pick(self, dm: int, top: int, usable: int, most: int) -> tuple[int, int] | None:
+        """(branch point, usable coverer count) of a d >= 2 node, as the
+        per-point loop in _node finds them, counted over the points from
+        the members usable excludes; None when more than most count.
+
+        Every point has S coverers, one per system, and a nonzero point
+        lies in slab_cover of slab 0's.  So when slab 0 is wholly excluded
+        a deficient origin is dead and a nonzero point keeps S - slab_cover
+        less its excluded coverers outside slab 0; otherwise it keeps S
+        less all of them.  A dead end reads count 0 at its lowest dead
+        point."""
+        excluded = ((1 << len(self.masks)) - 1) ^ usable
+        cap = len(self.systems)
+        if not usable & self.origin_pool:
+            if dm & 1:
+                return 0, 0
+            excluded ^= self.origin_pool
+            cap -= self.slab_cover
+        if excluded.bit_count() > most:
+            return None
+        counts = [0] * cap.bit_length()
+        for i in _ascending([excluded]):
+            x = self.masks[i] or self.mask(i)
+            for t, plane in enumerate(counts):
+                counts[t] = plane ^ x
+                x &= plane
+                if not x:
+                    break
+        dead = dm
+        for t, plane in enumerate(counts):
+            dead &= plane if cap >> t & 1 else ~plane
+        if dead:
+            return (dead & -dead).bit_length() - 1, 0
+        for plane in reversed(counts):
+            if top & plane:
+                top &= plane
+        p = (top & -top).bit_length() - 1
+        return p, cap - sum((plane >> p & 1) << t for t, plane in enumerate(counts))
 
     def run(self, s: int, limit: int, floor: int) -> None:
         """Search origin count exactly s for covers of size <= limit; floor
@@ -358,23 +418,31 @@ class _Search:
             return
         # A deficient point with no usable coverer ends the node; otherwise
         # branch on the point of largest need (the top level) with the
-        # fewest usable coverers, lowest index on a tie.
+        # fewest usable coverers, lowest index on a tie.  At d >= 2, when
+        # the excluded members are at most half the deficient points, pick
+        # counts over the points from them; otherwise each deficient point's
+        # pool-wide coverer mask is ANDed with usable and counted.
         coverer_masks = self.coverer_masks
         dm = lev[0]
         top = lev[-1]
-        best_cnt = -1
-        m = dm
-        while m:
-            b = m & -m
-            m ^= b
-            p = b.bit_length() - 1
-            c = coverer_masks[p] & usable
-            if not c:
+        if self.d > 1 and (picked := self.pick(dm, top, usable, dm.bit_count() >> 1)):
+            branch_p, best_cnt = picked
+            if not best_cnt:
                 return
-            if b & top:
-                cnt = c.bit_count()
-                if best_cnt < 0 or cnt < best_cnt:
-                    best_cnt, branch_p = cnt, p
+        else:
+            best_cnt = -1
+            m = dm
+            while m:
+                b = m & -m
+                m ^= b
+                p = b.bit_length() - 1
+                c = coverer_masks[p] & usable
+                if not c:
+                    return
+                if b & top:
+                    cnt = c.bit_count()
+                    if best_cnt < 0 or cnt < best_cnt:
+                        best_cnt, branch_p = cnt, p
         masks = self.masks
         S = len(self.systems)
         cm = coverer_masks[branch_p] & usable

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import struct
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from f2cover.codes import golay_cover
 from f2cover.constructions import ConstructionTag, gv_random_cover, lemma31_cover, smax_cover
+from f2cover import covers as covers_module
 from f2cover.covers import ConstructionTag as TagFromCovers
 from f2cover.covers import (
     COUNT_LIMIT,
+    PATTERN_CACHE_MAX_N,
     Cover,
     add_parallel_pair,
     cover_from_json,
@@ -22,7 +25,14 @@ from f2cover.covers import (
     restriction_census,
     verify,
 )
-from f2cover.gf2core import GFVector, ParameterError, enumerate_subspaces, hyperplane
+from f2cover.gf2core import (
+    AffineSubspace,
+    GFVector,
+    ParameterError,
+    canonicalize,
+    enumerate_subspaces,
+    hyperplane,
+)
 
 
 def _entries(n, d, picks):
@@ -111,6 +121,27 @@ def test_verify_matches_a_pointwise_reference(C, heavy, pick):
     assert report.origin_count == counts[0]
     assert (report.min_nonzero, report.max_nonzero) == (min(counts[1:]), max(counts[1:]))
     assert report.profile_checksum == hashlib.sha256(packed).hexdigest()[:16]
+
+
+def test_pattern_cache_counts_right_and_stays_bounded():
+    # _profile_bytes keeps its unit and coordinate patterns per n up to
+    # PATTERN_CACHE_MAX_N only, (n + 1) * 4 * 2^n bytes each; the counts
+    # read through the cache and past its limit agree with a pointwise count.
+    rng = random.Random(14)
+    for n in range(1, 15):
+        for _ in range(3):
+            d, size = rng.randint(1, n), rng.randint(1, 4)
+            entries = []
+            while len(entries) < size:
+                rows = [GFVector(rng.getrandbits(n), n) for _ in range(d)]
+                S = canonicalize(rows, [rng.getrandbits(1) for _ in range(d)])
+                if isinstance(S, AffineSubspace):
+                    entries.append((S, rng.randint(1, 3)))
+            C = Cover.from_entries(entries)
+            assert coverage_counts(C) == coverage_counts_pointwise(C)
+    cached = covers_module._patterns_by_n
+    assert set(cached) == set(range(1, PATTERN_CACHE_MAX_N + 1))
+    assert sum(4 * (n + 1) << n for n in cached) <= 1 << 19
 
 
 @pytest.mark.parametrize(

@@ -550,26 +550,41 @@ def test_system_scores_match_member_masks(n, d):
     # each candidate (the usable member of its system through the branch
     # point p) its score |mask(i) & dm|, counted here from its points, and
     # ranked lists the candidates by descending score, lowest system first.
-    # (6, 4) folds 16 slabs onto one.
+    # ranked counts the smaller side: dm, or its complement when dm holds
+    # more than half the points; fixed states sit on both sides of that
+    # switch, with and without the origin in dm.  (6, 4) folds 16 slabs
+    # onto one.
     rng = random.Random(100 * n + d)
     search = _Search(n, 2, d, False, None, None)
+    npts = search.npts
     pool = [search.member(i) for i in range(len(search.masks))]
-    points = [sum(1 << x for x in range(1 << n) if S.contains_bits(x)) for S in pool]
+    points = [sum(1 << x for x in range(npts) if S.contains_bits(x)) for S in pool]
     index = {rows: j for j, rows in enumerate(search.systems)}
     nsys = len(search.systems)
-    wide = 0
+    counted = []
+    planes = search.planes
+    search.planes = lambda p, cs, dm: counted.append(dm.bit_count()) or planes(p, cs, dm)
+    states = []
+    for size in (npts >> 1, (npts >> 1) + 1):
+        for origin in (False, True):
+            p = rng.randrange(1, npts)
+            rest = rng.sample([q for q in range(1, npts) if q != p], size - 1 - origin)
+            states.append((p, sum(1 << q for q in [p, *rest]) | origin))
     for _ in range(40):
-        usable = rng.getrandbits(len(pool)) | rng.getrandbits(len(pool))
-        p = rng.randrange(1 << n)
+        p = rng.randrange(npts)
         dm = 1 << p
-        for _ in range(rng.choice([0, 1, 2, 1 << n])):
-            dm |= 1 << rng.randrange(1 << n)
+        for _ in range(rng.choice([0, 1, 2, npts])):
+            dm |= 1 << rng.randrange(npts)
+        states.append((p, dm))
+    wide = 0
+    for p, dm in states:
+        usable = rng.getrandbits(len(pool)) | rng.getrandbits(len(pool))
         cm = [i for i in range(len(pool)) if usable >> i & 1 and points[i] >> p & 1]
         systems = [index[pool[i].normals] for i in cm]
         assert len(set(systems)) == len(systems)  # one candidate per system
         cs = sum(1 << j for j in systems)
-        planes = search.planes(p, cs, dm)
-        scores = [sum((plane >> j & 1) << t for t, plane in enumerate(planes)) for j in range(nsys)]
+        scores = [sum((plane >> j & 1) << t for t, plane in enumerate(planes(p, cs, dm)))
+                  for j in range(nsys)]
         expected = [0] * nsys
         for i, j in zip(cm, systems):
             expected[j] = (points[i] & dm).bit_count()
@@ -578,8 +593,64 @@ def test_system_scores_match_member_masks(n, d):
         order = sorted((-expected[j], j, i) for i, j in zip(cm, systems))
         ranked = search.ranked(p, sum(1 << i for i in cm), dm)
         assert [i for *_, i in ranked] == [i for *_, i in order]
+        assert counted.pop() == min(dm.bit_count(), npts - dm.bit_count())
         wide += len(cm) > search.score_bits * dm.bit_count()
     assert wide > 0
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for d in (2, 3) for n in range(d + 1, d + 4)])
+def test_pick_matches_a_per_point_recount(n, d):
+    # At random d >= 2 node states, pick's branch point and usable coverer
+    # count must be those of a plain recount over the members' points: the
+    # top point with the fewest usable coverers, lowest on a tie, or count
+    # 0 when a deficient point has none.  Slab 0 (the members through the
+    # origin) is wholly excluded, as at s = 0 or once the origin is full,
+    # or partly usable.  pick declines when the excluded members it would
+    # count outnumber most.
+    rng = random.Random(10 * n + d)
+    search = _Search(n, 3, d, False, None, None)
+    npts, size = search.npts, len(search.masks)
+    slab0 = search.origin_pool
+    through = [[] for _ in range(npts)]
+    for i in range(size):
+        for x in solution_bits(search.member(i)):
+            through[x].append(i)
+    seen = set()
+    for _ in range(80):
+        dm = sum(1 << q for q in rng.sample(range(npts), rng.randint(1, npts)))
+        if rng.random() < 0.3:
+            dm |= 1  # a deficient origin
+        top = sum(1 << q for q in range(npts) if dm >> q & 1 and rng.random() < 0.6) or dm & -dm
+        usable = (1 << size) - 1
+        if rng.random() < 0.5:
+            usable ^= slab0
+        else:
+            usable &= ~sum(1 << i for i in rng.sample(range(len(search.systems)), rng.randint(0, 3)))
+        drops = rng.choice([0, 1, 2, dm.bit_count() >> 1, (dm.bit_count() >> 1) + 1, size // 3])
+        for i in rng.sample(range(size), drops):
+            usable &= ~(1 << i)
+        if rng.random() < 0.2:  # a dead point: none of its coverers is usable
+            q = rng.choice([q for q in range(npts) if dm >> q & 1])
+            usable &= ~sum(1 << i for i in through[q])
+        bits = f"{usable:0{size}b}"[::-1]
+        counts = {q: sum(bits[i] == "1" for i in through[q]) for q in range(npts) if dm >> q & 1}
+        dead = min(counts.values()) == 0
+        picked = search.pick(dm, top, usable, size)
+        if dead:
+            assert picked[1] == 0 and counts[picked[0]] == 0
+        else:
+            assert picked == min((counts[q], q) for q in counts if top >> q & 1)[::-1]
+        excluded = ((1 << size) - 1) ^ usable
+        if not usable & slab0:
+            excluded &= ~slab0
+        most = dm.bit_count() >> 1
+        declined = search.pick(dm, top, usable, most) is None
+        if not (dead and not usable & slab0 and dm & 1):
+            assert declined == (excluded.bit_count() > most)
+        seen.add((dead, not usable & slab0, bool(dm & 1), declined))
+    assert {dead for dead, *_ in seen} == {False, True}
+    assert {(gone, origin) for _, gone, origin, _ in seen} >= {(False, True), (True, False)}
+    assert {declined for *_, declined in seen} == {False, True}
 
 
 def test_time_budget_bounds_pool_build():
