@@ -11,8 +11,8 @@ points.  Branching follows deficient points: pick the worst uncovered
 point, try each of its usable coverers in turn, those through the most
 deficient points first, and forbid a tried coverer in the later
 siblings, so no multiset is reached twice.  At d >= 2 the worst point
-is found over the 2^n points, from the few members a node excludes,
-rather than over the pool.  A branch point's coverers lie in distinct
+may be found over the 2^n points rather than over the pool (see
+_Search.pick).  A branch point's coverers lie in distinct
 linear systems, so a node with many of them (the wide d >= 2 pools)
 scores them all at once in bit planes one slab wide, counting whichever
 side of the deficient points is smaller, and lists them lazily.  A run
@@ -133,11 +133,8 @@ class _Search:
     1..k), and the usable subset of the pool is one int.  Adding a member
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
-    A node branches on a top-level point with the fewest usable coverers.
-    At d=1, and at d >= 2 when usable excludes many members, it ANDs each
-    deficient point's coverer mask with usable.  Otherwise pick counts,
-    in bit planes over the points, the excluded members through each
-    point, one member mask each, and takes the point with the most.
+    A node branches on a top-level point with the fewest usable coverers,
+    found per point or, at d >= 2, by pick.
     A node tries its candidates by descending score, the points of lev[0]
     a member covers.  On a tie the lowest system index goes first at
     d >= 2, and the lowest member index at d=1, so there the members
@@ -247,6 +244,9 @@ class _Search:
         # codim-d subspaces of F_2^n holding it, one per such subspace of
         # F_2^n / <p>
         self.slab_cover = gaussian_binomial(n - 1, d)
+        # pick's cost rule: it counts the excluded members when there are
+        # at most pick_ratio per deficient point
+        self.pick_ratio = ((S << d) + 4096) / (3 * (npts + 4096))
         # equal scores are tried in the order of i % ties: system index at
         # d >= 2, member index at d=1 (i < 2S)
         self.ties = S if d > 1 else S << 1
@@ -318,26 +318,39 @@ class _Search:
             classes = [part for c in classes for part in (c & first, c & second) if part]
         return ((0, 0, self.through(j, p)) for j in _ascending(classes))
 
-    def pick(self, dm: int, top: int, usable: int, most: int) -> tuple[int, int] | None:
+    def pick(self, dm: int, top: int, usable: int) -> tuple[int, int] | None:
         """(branch point, usable coverer count) of a d >= 2 node, as the
         per-point loop in _node finds them, counted over the points from
-        the members usable excludes; None when more than most count.
+        the members usable excludes; None when the loop is cheaper.
 
         Every point has S coverers, one per system, and a nonzero point
         lies in slab_cover of slab 0's.  So when slab 0 is wholly excluded
         a deficient origin is dead and a nonzero point keeps S - slab_cover
         less its excluded coverers outside slab 0; otherwise it keeps S
         less all of them.  A dead end reads count 0 at its lowest dead
-        point."""
-        excluded = ((1 << len(self.masks)) - 1) ^ usable
-        cap = len(self.systems)
+        point.
+
+        Counting costs about three int operations on 2^n bits per excluded
+        member (outside slab 0 when slab 0 is wholly excluded), and the
+        loop one on the pool's bits per deficient point.  The fixed cost
+        of a CPython int operation is about that of 4096 bits of its work,
+        so pick declines when excluded * 3 * (2^n + 4096) exceeds
+        |dm| * (pool + 4096), that is, when there are more than pick_ratio
+        excluded members per deficient point: about 0.4 at n=5, d=2 (pool
+        620) and 7.8 at n=7, d=3 (pool 94,488).  The constants are fitted
+        to the per-node costs of both sides on replayed d >= 2 node states
+        (CPython 3.11)."""
+        S = len(self.systems)
+        cap, skip = S, 0
         if not usable & self.origin_pool:
             if dm & 1:
                 return 0, 0
-            excluded ^= self.origin_pool
-            cap -= self.slab_cover
-        if excluded.bit_count() > most:
+            cap, skip = S - self.slab_cover, S
+        if len(self.masks) - usable.bit_count() - skip > dm.bit_count() * self.pick_ratio:
             return None
+        excluded = ((1 << len(self.masks)) - 1) ^ usable
+        if skip:
+            excluded ^= self.origin_pool
         counts = [0] * cap.bit_length()
         for i in _ascending([excluded]):
             x = self.masks[i] or self.mask(i)
@@ -418,14 +431,13 @@ class _Search:
             return
         # A deficient point with no usable coverer ends the node; otherwise
         # branch on the point of largest need (the top level) with the
-        # fewest usable coverers, lowest index on a tie.  At d >= 2, when
-        # the excluded members are at most half the deficient points, pick
-        # counts over the points from them; otherwise each deficient point's
-        # pool-wide coverer mask is ANDed with usable and counted.
+        # fewest usable coverers, lowest index on a tie: by pick at d >= 2
+        # when it counts, else by ANDing each deficient point's pool-wide
+        # coverer mask with usable.
         coverer_masks = self.coverer_masks
         dm = lev[0]
         top = lev[-1]
-        if self.d > 1 and (picked := self.pick(dm, top, usable, dm.bit_count() >> 1)):
+        if self.d > 1 and (picked := self.pick(dm, top, usable)):
             branch_p, best_cnt = picked
             if not best_cnt:
                 return

@@ -606,9 +606,11 @@ def test_pick_matches_a_per_point_recount(n, d):
     # 0 when a deficient point has none.  Slab 0 (the members through the
     # origin) is wholly excluded, as at s = 0 or once the origin is full,
     # or partly usable.  pick declines when the excluded members it would
-    # count outnumber most.
+    # count pass pick_ratio per deficient point; an infinite ratio makes it
+    # count every state.
     rng = random.Random(10 * n + d)
     search = _Search(n, 3, d, False, None, None)
+    ratio = search.pick_ratio
     npts, size = search.npts, len(search.masks)
     slab0 = search.origin_pool
     through = [[] for _ in range(npts)]
@@ -626,7 +628,8 @@ def test_pick_matches_a_per_point_recount(n, d):
             usable ^= slab0
         else:
             usable &= ~sum(1 << i for i in rng.sample(range(len(search.systems)), rng.randint(0, 3)))
-        drops = rng.choice([0, 1, 2, dm.bit_count() >> 1, (dm.bit_count() >> 1) + 1, size // 3])
+        most = int(dm.bit_count() * ratio)
+        drops = rng.choice([0, 1, 2, most, most + 1, size // 3])
         for i in rng.sample(range(size), drops):
             usable &= ~(1 << i)
         if rng.random() < 0.2:  # a dead point: none of its coverers is usable
@@ -635,7 +638,9 @@ def test_pick_matches_a_per_point_recount(n, d):
         bits = f"{usable:0{size}b}"[::-1]
         counts = {q: sum(bits[i] == "1" for i in through[q]) for q in range(npts) if dm >> q & 1}
         dead = min(counts.values()) == 0
-        picked = search.pick(dm, top, usable, size)
+        search.pick_ratio = float("inf")
+        picked = search.pick(dm, top, usable)
+        search.pick_ratio = ratio
         if dead:
             assert picked[1] == 0 and counts[picked[0]] == 0
         else:
@@ -643,10 +648,9 @@ def test_pick_matches_a_per_point_recount(n, d):
         excluded = ((1 << size) - 1) ^ usable
         if not usable & slab0:
             excluded &= ~slab0
-        most = dm.bit_count() >> 1
-        declined = search.pick(dm, top, usable, most) is None
+        declined = search.pick(dm, top, usable) is None
         if not (dead and not usable & slab0 and dm & 1):
-            assert declined == (excluded.bit_count() > most)
+            assert declined == (excluded.bit_count() > dm.bit_count() * ratio)
         seen.add((dead, not usable & slab0, bool(dm & 1), declined))
     assert {dead for dead, *_ in seen} == {False, True}
     assert {(gone, origin) for _, gone, origin, _ in seen} >= {(False, True), (True, False)}
