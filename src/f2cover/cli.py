@@ -96,11 +96,7 @@ def _dimension(text: str) -> int:
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ParameterError(message)
 
 
 def _budgets(args: argparse.Namespace) -> tuple[int | None, float | None]:
@@ -111,7 +107,7 @@ def _budgets(args: argparse.Namespace) -> tuple[int | None, float | None]:
         if seconds is None and os.environ.get("F2COVER_MAX_SECONDS"):
             seconds = float(os.environ["F2COVER_MAX_SECONDS"])
     except ValueError as exc:
-        raise _UsageError(f"bad budget in the environment: {exc}") from None
+        raise ParameterError(f"bad budget in the environment: {exc}") from None
     for budget in (nodes, seconds):
         _require(budget is None or 0 <= budget < math.inf,
                  f"a budget must be finite and >= 0, got {budget}")
@@ -402,7 +398,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         _say(str(exc))
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

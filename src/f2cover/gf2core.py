@@ -20,17 +20,14 @@ DIMENSION_LIMIT = 20
 SUBSPACE_ENUM_LIMIT = 2_000_000
 
 
-def parity(bits: int) -> int:
-    return bits.bit_count() & 1
-
-
 def _check_dim(n: int) -> None:
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"ambient dimension {n} outside 1..{MAX_DIMENSION}")
 
 
 class ParameterError(ValueError):
-    """A problem parameter out of range: a usage error, not a negative answer."""
+    """A problem parameter or command-line option out of range: a usage error,
+    not a negative answer."""
 
 
 def _check_problem(n: int, k: int | None, d: int, s: int | None = None) -> None:
@@ -86,13 +83,6 @@ def basis_vector(i: int, n: int) -> GFVector:
 
 def ones_vector(n: int) -> GFVector:
     return GFVector((1 << n) - 1, n)
-
-
-def dot(x: GFVector, u: GFVector) -> int:
-    """Parity of the overlap of x and u (the GF(2) inner product)."""
-    if x.n != u.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {u.n}")
-    return (x.bits & u.bits).bit_count() & 1
 
 
 class _Outcome:

@@ -10,15 +10,15 @@ copies, so placing a member is k mask operations, not a loop over its
 points.  Branching follows deficient points: pick the worst uncovered
 point, try each of its usable coverers in turn, those through the most
 deficient points first, and forbid a tried coverer in the later
-siblings, so no multiset is reached twice.  At d >= 2 the worst point
-may be found over the 2^n points rather than over the pool (see
-_Search.pick).  A branch point's coverers lie in distinct
-linear systems, so a node with many of them (the wide d >= 2 pools)
-scores them all at once in bit planes one slab wide, counting whichever
-side of the deficient points is smaller, and lists them lazily.  A run
-ends at a cover whose size meets the root bound for its origin count,
-since none smaller exists; at d=1 that bound counts the length of the
-binary code the cover's origin-avoiding members form (CodeLength in
+siblings, so no multiset is reached twice.  The codimension alone
+chooses how: at d=1 a node finds the worst point per point and scores
+its few coverers one by one; at d >= 2 it finds the point over the 2^n
+points (_Search.pick) and, as a branch point's coverers lie in distinct
+linear systems, scores them all at once in bit planes one slab wide
+(_Search.ranked), listing them lazily.  A run ends at a cover whose
+size meets the root bound for its origin count, since none smaller
+exists; at d=1 that bound counts the length of the binary code the
+cover's origin-avoiding members form (CodeLength in
 bounds._closed_form_rules).  At d=1 only the first fresh coverer
 (normal outside the span of those placed) of each rhs is tried: the maps
 fixing the node make the others equivalent (orbital branching, see
@@ -134,13 +134,12 @@ class _Search:
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
     A node branches on a top-level point with the fewest usable coverers,
-    found per point or, at d >= 2, by pick.
+    found per point at d=1 and by pick at d >= 2.
     A node tries its candidates by descending score, the points of lev[0]
     a member covers.  On a tie the lowest system index goes first at
     d >= 2, and the lowest member index at d=1, so there the members
-    through the origin come first.  It scores them one by one at d=1 and
-    when there are at most score_bits per deficient point.  Otherwise
-    ranked works in slab 0: each candidate is through(j, p) for
+    through the origin come first.  It scores them one by one at d=1.
+    At d >= 2 ranked works in slab 0: each candidate is through(j, p) for
     one system j, so folding the slabs onto slab 0 gives the candidates'
     systems, and planes adds slab 0 of one point's coverer mask per point
     into score_bits bit planes S bits wide, 2^d times narrower than the
@@ -244,12 +243,6 @@ class _Search:
         # codim-d subspaces of F_2^n holding it, one per such subspace of
         # F_2^n / <p>
         self.slab_cover = gaussian_binomial(n - 1, d)
-        # pick's cost rule: it counts the excluded members when there are
-        # at most pick_ratio per deficient point
-        self.pick_ratio = ((S << d) + 4096) / (3 * (npts + 4096))
-        # equal scores are tried in the order of i % ties: system index at
-        # d >= 2, member index at d=1 (i < 2S)
-        self.ties = S if d > 1 else S << 1
 
     def member(self, i: int) -> AffineSubspace:
         """Pool member i: coset rhs = i // S of systems[i % S]."""
@@ -298,8 +291,8 @@ class _Search:
         return planes
 
     def ranked(self, p: int, cm: int, dm: int):
-        """The members of cm, all through point p, as (0, 0, i) triples in
-        the order of sorted((-|mask(i) & dm|, i % S)), listed lazily.  cm
+        """The members of cm, all through point p, as (0, i) pairs in the
+        order of sorted((-|mask(i) & dm|, i % S)), listed lazily.  cm
         holds at most one member per system, so folding its slabs onto
         slab 0 gives its systems, one bit each.  Each member holds cov
         points, so its score is cov less the points it holds outside dm:
@@ -316,40 +309,27 @@ class _Search:
         for plane in reversed(self.planes(p, classes[0], dm)):
             first, second = (~plane, plane) if outside else (plane, ~plane)
             classes = [part for c in classes for part in (c & first, c & second) if part]
-        return ((0, 0, self.through(j, p)) for j in _ascending(classes))
+        return ((0, self.through(j, p)) for j in _ascending(classes))
 
-    def pick(self, dm: int, top: int, usable: int) -> tuple[int, int] | None:
-        """(branch point, usable coverer count) of a d >= 2 node, as the
-        per-point loop in _node finds them, counted over the points from
-        the members usable excludes; None when the loop is cheaper.
+    def pick(self, dm: int, top: int, usable: int) -> tuple[int, int]:
+        """(branch point, usable coverer count) of a d >= 2 node: the top
+        point with the fewest usable coverers, lowest on a tie, counted
+        over the 2^n points from the members usable excludes, not by one
+        pool-wide AND per deficient point.
 
         Every point has S coverers, one per system, and a nonzero point
         lies in slab_cover of slab 0's.  So when slab 0 is wholly excluded
         a deficient origin is dead and a nonzero point keeps S - slab_cover
         less its excluded coverers outside slab 0; otherwise it keeps S
         less all of them.  A dead end reads count 0 at its lowest dead
-        point.
-
-        Counting costs about three int operations on 2^n bits per excluded
-        member (outside slab 0 when slab 0 is wholly excluded), and the
-        loop one on the pool's bits per deficient point.  The fixed cost
-        of a CPython int operation is about that of 4096 bits of its work,
-        so pick declines when excluded * 3 * (2^n + 4096) exceeds
-        |dm| * (pool + 4096), that is, when there are more than pick_ratio
-        excluded members per deficient point: about 0.4 at n=5, d=2 (pool
-        620) and 7.8 at n=7, d=3 (pool 94,488).  The constants are fitted
-        to the per-node costs of both sides on replayed d >= 2 node states
-        (CPython 3.11)."""
+        point."""
         S = len(self.systems)
-        cap, skip = S, 0
+        cap = S
+        excluded = ((1 << len(self.masks)) - 1) ^ usable
         if not usable & self.origin_pool:
             if dm & 1:
                 return 0, 0
-            cap, skip = S - self.slab_cover, S
-        if len(self.masks) - usable.bit_count() - skip > dm.bit_count() * self.pick_ratio:
-            return None
-        excluded = ((1 << len(self.masks)) - 1) ^ usable
-        if skip:
+            cap = S - self.slab_cover
             excluded ^= self.origin_pool
         counts = [0] * cap.bit_length()
         for i in _ascending([excluded]):
@@ -431,17 +411,27 @@ class _Search:
             return
         # A deficient point with no usable coverer ends the node; otherwise
         # branch on the point of largest need (the top level) with the
-        # fewest usable coverers, lowest index on a tie: by pick at d >= 2
-        # when it counts, else by ANDing each deficient point's pool-wide
-        # coverer mask with usable.
+        # fewest usable coverers, lowest index on a tie.  Its candidates,
+        # the usable members through it, one per system, are tried by
+        # descending score; the loop below reads only i of each pair.
         coverer_masks = self.coverer_masks
+        masks = self.masks
+        S = len(self.systems)
         dm = lev[0]
         top = lev[-1]
-        if self.d > 1 and (picked := self.pick(dm, top, usable)):
-            branch_p, best_cnt = picked
+        if self.d > 1:
+            # the point over the 2^n points, the scores in bit planes one
+            # slab wide; ties by system, as member order would take
+            # decide(7,3,2,16,s=0) from 16 nodes past 100,000
+            branch_p, best_cnt = self.pick(dm, top, usable)
             if not best_cnt:
                 return
+            cands = self.ranked(branch_p, coverer_masks[branch_p] & usable, dm)
         else:
+            # one pool-wide AND per deficient point, then one score per
+            # candidate (at most 2^n - 1); ties by member index, so the
+            # members through the origin (slab 0) come first, which cuts
+            # prove's tree about 4x
             best_cnt = -1
             m = dm
             while m:
@@ -455,23 +445,7 @@ class _Search:
                     cnt = c.bit_count()
                     if best_cnt < 0 or cnt < best_cnt:
                         best_cnt, branch_p = cnt, p
-        masks = self.masks
-        S = len(self.systems)
-        cm = coverer_masks[branch_p] & usable
-        # The candidates are the best_cnt members of cm, one per system,
-        # tried in the order of sorted((-|masks[i] & dm|, i % ties)).  At
-        # d=1 a tie then puts the members through the origin (slab 0) first,
-        # which cuts prove's tree about 4x; at d >= 2 it would take
-        # decide(7,3,2,16,s=0) from 16 nodes past 100,000, so ties there go
-        # by system.  Scoring one by one costs best_cnt steps; bit planes
-        # cost about score_bits * |dm| steps over one slab, so at d >= 2 the
-        # larger count picks the path: witness's nodes (thousands of
-        # candidates) go wide.  ranked ties by system, so every d=1 node
-        # stays narrow.  The loop below reads only i of each triple.
-        if self.d > 1 and best_cnt > self.score_bits * dm.bit_count():
-            cands = self.ranked(branch_p, cm, dm)
-        else:
-            ties = self.ties
+            cm = coverer_masks[branch_p] & usable
             cands = []
             # one 64-bit word at a time: peeling bits off the whole pool-wide
             # mask would copy it once per candidate; base is one below the
@@ -484,7 +458,7 @@ class _Search:
                     b = w & -w
                     i = b.bit_length() + base
                     w ^= b
-                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i % ties, i))
+                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
                 base += 64
             cands.sort()
         # exact[j]: the points whose need is exactly j+1; a member M takes
@@ -495,7 +469,7 @@ class _Search:
         mult = self.mult
         dir_lb = self.dir_lb
         fresh, span = self.fresh, self.span
-        for _, _, i in cands:
+        for _, i in cands:
             is_fresh = fresh >> i & 1
             if is_fresh and not usable >> i & 1:
                 continue  # its orbit's representative came first

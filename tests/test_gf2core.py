@@ -13,29 +13,17 @@ from f2cover.gf2core import (
     basis_vector,
     canonicalize,
     count_subspaces,
-    dot,
     enumerate_subspaces,
     gaussian_binomial,
     hyperplane,
     linear_systems,
     ones_vector,
-    parity,
     point_mask,
     point_subspace,
     solution_bits,
     subspace,
     subspace_from_json,
 )
-
-
-def test_parity_and_dot():
-    assert parity(0) == 0
-    assert parity(0b1011) == 1
-    assert parity(0b1111) == 0
-    x = GFVector(0b101, 3)
-    u = GFVector(0b110, 3)
-    assert dot(x, u) == 1
-    assert dot(x, GFVector(0b101, 3)) == 0
 
 
 def test_named_vectors():
@@ -58,7 +46,7 @@ def test_hyperplane_membership():
     H = hyperplane(GFVector(0b011, 3), 1)
     assert H.d == 1
     members = {b for b in range(8) if H.contains_bits(b)}
-    assert members == {b for b in range(8) if parity(b & 0b011) == 1}
+    assert members == {b for b in range(8) if (b & 0b011).bit_count() & 1}
     assert 0 not in members
 
 
