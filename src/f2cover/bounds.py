@@ -301,20 +301,6 @@ def _least_g_lo(n: int, k: int) -> int:
     return min(_lo(_closed_form_rules(n, k, 1, s)) for s in range(k))
 
 
-def lb_origin_at_least(n: int, k: int, d: int, s: int) -> int:
-    """Lower bound on the size of a (k,d)-cover of F_2^n with origin count >= s.
-
-    The f rows hold at any origin count.  Of the g rows at s, DoubleCount
-    and RestrictionDescent are nondecreasing in s, so their value at s
-    bounds every larger origin count, and GSmax enters only at s = k-1, the
-    largest origin count a (k,d)-cover has.  The CodeLength row at s is
-    left out: it is not monotone in s, so it bounds origin count exactly s
-    only (lb_origin_exactly).
-    """
-    rows = _closed_form_rules(n, k, d, s)
-    return _lo(_closed_form_rules(n, k, d) + [r for r in rows if r[0] != "CodeLength"])
-
-
 def lb_origin_exactly(n: int, k: int, d: int, origins: range) -> dict[int, int]:
     """{s: lower bound on a (k,d)-cover of F_2^n with origin count exactly s}
     for s in origins: every f row and every g row at s."""

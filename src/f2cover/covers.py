@@ -187,27 +187,17 @@ def _patterns(n: int) -> tuple[int, tuple[int, ...]]:
 def _profile_bytes(C: Cover) -> bytes:
     """Per-point coverage as 2^n little-endian uint32 fields, point 0 first.
 
-    The parity pattern of a normal u is the XOR of its coordinates'
-    patterns (see _patterns).  An entry's indicator is the AND over its
-    rows of the pattern, complemented where the rhs bit is 0, so the
-    profile is one multiply-add per entry.  No field carries: no count
-    passes C.size, which _check_counting caps at COUNT_LIMIT.
+    An entry's points are gf2core.indicator over the 32-bit patterns of
+    _patterns, so the profile is one multiply-add per entry.  No field
+    carries: no count passes C.size, which _check_counting caps at
+    COUNT_LIMIT.
     """
     _check_counting(C)
-    n = C.n
-    unit, coords = _patterns(n)
+    unit, coords = _patterns(C.n)
     total = 0
     for S, mult in C.entries:
-        indicator = unit
-        for i, u in enumerate(S.normals):
-            pattern = 0
-            while u:
-                low = u & -u
-                pattern ^= coords[low.bit_length() - 1]
-                u ^= low
-            indicator &= pattern if S.rhs >> i & 1 else unit ^ pattern
-        total += mult * indicator
-    return total.to_bytes(4 << n, "little")
+        total += mult * gf2core.indicator(S.normals, S.rhs, unit, coords)
+    return total.to_bytes(4 << C.n, "little")
 
 
 def coverage_counts(C: Cover) -> list[int]:

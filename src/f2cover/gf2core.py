@@ -1,4 +1,4 @@
-"""Bit-packed linear algebra over GF(2): vectors, affine subspaces, enumeration.
+"""Bit-packed linear algebra over GF(2): vectors, affine subspaces, point sets, enumeration.
 
 Vectors of F_2^n are int bit masks with bit i holding coordinate x_{i+1}.
 An affine subspace of codimension d is stored in constraint form as d
@@ -239,31 +239,33 @@ def point_subspace(v: GFVector) -> AffineSubspace:
     return AffineSubspace(n=n, d=n, normals=tuple(1 << i for i in range(n)), rhs=v.bits)
 
 
-def solution_bits(S: AffineSubspace) -> list[int]:
-    """All 2^(n-d) solutions of S as raw bit masks.
+def point_patterns(n: int) -> tuple[int, tuple[int, ...]]:
+    """(unit, coords) over the 2^n points, one bit per point: unit holds
+    every point and coords[c] the points with bit c set."""
+    unit = (1 << (1 << n)) - 1
+    return unit, tuple(unit // ((1 << (2 << c)) - 1) * ((1 << (1 << c)) - 1) << (1 << c) for c in range(n))
 
-    One particular solution (the rhs bits on the pivot columns) plus the
-    span of the kernel, one basis vector per free column; in RREF that
-    vector is the free column plus the pivots of the rows that touch it.
-    """
-    x0 = pivots = 0
-    for i, u in enumerate(S.normals):
-        pivots |= u & -u
-        x0 |= (u & -u) * ((S.rhs >> i) & 1)
-    out = [x0]
-    for j in range(S.n):
-        if not (pivots >> j) & 1:
-            v = (1 << j) | sum(u & -u for u in S.normals if (u >> j) & 1)
-            out += [x ^ v for x in out]
-    return out
+
+def indicator(normals: Sequence[int], rhs: int, unit: int, coords: Sequence[int]) -> int:
+    """The points of {x : x . normals[t] = bit t of rhs} in the field layout
+    of unit (1 in every point's field) and coords[c] (1 in the fields of the
+    points with bit c set): the AND over the rows of the XOR of coords over
+    the row's set bits, its parity pattern, complemented within unit where
+    the rhs bit is 0."""
+    m = unit
+    for t, u in enumerate(normals):
+        pattern = 0
+        while u:
+            low = u & -u
+            pattern ^= coords[low.bit_length() - 1]
+            u ^= low
+        m &= pattern if rhs >> t & 1 else unit ^ pattern
+    return m
 
 
 def point_mask(S: AffineSubspace) -> int:
     """Characteristic mask over all 2^n points: bit x set iff x is in S."""
-    mask = 0
-    for b in solution_bits(S):
-        mask |= 1 << b
-    return mask
+    return indicator(S.normals, S.rhs, *point_patterns(S.n))
 
 
 def gaussian_binomial(n: int, d: int) -> int:

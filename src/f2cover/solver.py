@@ -38,12 +38,12 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
 
-from .bounds import exact_thm_a, lb_origin_at_least, lb_origin_exactly
+from .bounds import _closed_form_rules, _lo, exact_thm_a, lb_origin_exactly
 from .codes import golay_cover
 from .constructions import _points_cover, diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, verify
 from .gf2core import (AffineSubspace, ParameterError, _check_problem, count_subspaces,
-                      gaussian_binomial, linear_systems)
+                      gaussian_binomial, indicator, linear_systems, point_patterns)
 
 STATUSES = ("optimal", "feasible", "infeasible", "unknown")
 
@@ -188,9 +188,9 @@ class _Search:
         S = len(systems)
         npts = 1 << n
         self.npts = npts
-        # coords[c]: the points with bit c set; member masks are built from
-        # them on first use (mask), since a find-first run reads a handful
-        self.coords = [_every(2 << c, npts) * ((1 << (1 << c)) - 1) << (1 << c) for c in range(n)]
+        # member masks are built from the point patterns on first use
+        # (mask), since a find-first run reads a handful
+        self.patterns = point_patterns(n)
         self.masks = [0] * (S << d)
         if _past(deadline):
             raise _BudgetExhausted
@@ -250,18 +250,9 @@ class _Search:
         return AffineSubspace(self.n, self.d, self.systems[j], r)
 
     def mask(self, i: int) -> int:
-        """Point mask of member i, built on first use and kept in masks[i]:
-        the AND over its rows t of the parity pattern of the row's normal,
-        complemented where bit t of the rhs is 0."""
+        """Point mask of member i, built on first use and kept in masks[i]."""
         r, j = divmod(i, len(self.systems))
-        m = (1 << self.npts) - 1
-        for t, u in enumerate(self.systems[j]):
-            odd = 0
-            for c, pattern in enumerate(self.coords):
-                if u >> c & 1:
-                    odd ^= pattern
-            m &= odd if r >> t & 1 else ~odd
-        self.masks[i] = m
+        m = self.masks[i] = indicator(self.systems[j], r, *self.patterns)
         return m
 
     def through(self, j: int, p: int) -> int:
@@ -517,9 +508,7 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     origin count s <= k-1 because each zero-side copy goes through the
     origin.
     """
-    flo = [0] * (k + 1)
-    for kp in range(1, k + 1):
-        flo[kp] = lb_origin_at_least(n - 1, kp, 1, 0)
+    flo = [0] + [_lo(_closed_form_rules(n - 1, kp, 1)) for kp in range(1, k + 1)]
     never = 1 << 30
     table = [[never] * (k + 1) for _ in range(k + 1)]
     for a0 in range(k + 1):

@@ -21,7 +21,7 @@ from f2cover.bounds import (
     format_table,
     g_smax_formula,
     lb_double_count,
-    lb_origin_at_least,
+    lb_origin_exactly,
     n0_report,
     origin_mult_floor,
     propagate,
@@ -238,9 +238,9 @@ def test_bound_rules_are_consistent():
                     his = [v for _, side, v in rules if side in ("hi", "both")]
                     assert los and his, (n, k, d)
                     assert max(los) <= min(his), (n, k, d, rules)
-                    # the solver's root bound at each origin count s
-                    root = [lb_origin_at_least(n, k, d, s) for s in range(k)]
-                    assert root == sorted(root), (n, k, d, root)
+                    # the solver's root bound at the origin counts of the
+                    # smax, Lemma 3.1 and diagonal covers: k-1, k-2, k-4
+                    root = lb_origin_exactly(n, k, d, range(k))
                     assert root[k - 1] <= g_smax_formula(n, k, d), (n, k, d)
                     if k >= 2:
                         assert root[k - 2] <= n + (k << d) - d - 2, (n, k, d)

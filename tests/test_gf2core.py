@@ -20,10 +20,11 @@ from f2cover.gf2core import (
     ones_vector,
     point_mask,
     point_subspace,
-    solution_bits,
     subspace,
     subspace_from_json,
 )
+
+from gf2_reference import solution_bits
 
 
 def test_named_vectors():
@@ -66,8 +67,9 @@ def test_gaussian_binomial_known_values():
     assert gaussian_binomial(4, 4) == 1
 
 
+# (9, 1): normals wider than one byte
 @pytest.mark.parametrize(
-    "n,d", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
+    "n,d", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (9, 1)]
 )
 def test_enumerate_subspaces_complete_and_distinct(n, d):
     pool = enumerate_subspaces(n, d)
@@ -75,11 +77,10 @@ def test_enumerate_subspaces_complete_and_distinct(n, d):
     seen = {S.canonical_bytes() for S in pool}
     assert len(seen) == len(pool)
     for S in pool:
-        pts = point_mask(S)
-        assert pts.bit_count() == 1 << (n - d)
-        assert [b for b in range(1 << n) if S.contains_bits(b)] == sorted(
-            solution_bits(S)
-        )
+        points = [b for b in range(1 << n) if S.contains_bits(b)]
+        assert len(points) == 1 << (n - d)
+        assert point_mask(S) == sum(1 << b for b in points)
+        assert points == sorted(solution_bits(S))
 
 
 @pytest.mark.parametrize(

@@ -19,10 +19,11 @@ import f2cover
 from f2cover.bounds import _closed_form_rules, g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
-from f2cover.gf2core import AffineSubspace, enumerate_subspaces, solution_bits
+from f2cover.gf2core import AffineSubspace, enumerate_subspaces
 from f2cover import covers as covers_module
 from f2cover import solver as solver_module
 from f2cover.solver import STATUSES, _BudgetExhausted, _Search, decide, solve_g, solve_min
+from gf2_reference import solution_bits
 
 
 def brute_min(n, k, d, s_min=0, s_max=None):

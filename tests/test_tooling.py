@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import f2cover
 from f2cover.solver import _Search
@@ -36,6 +37,17 @@ def test_src_imports_only_the_standard_library():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_all_names_exactly_the_public_bindings():
+    # a name dropped from the imports but left in __all__ would break
+    # `from f2cover import *`; one bound but unlisted is not public
+    bound = {
+        name
+        for name, value in vars(f2cover).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(f2cover.__all__) == sorted(bound)
 
 
 def test_node_loop_holds_no_cell_variables():
