@@ -11,13 +11,12 @@ and multiplicity recursions and records which rule set each endpoint.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .gf2core import ParameterError, _check_problem, _json_int
+from .gf2core import ParameterError, _check_problem, _json_int, _json_list
 
 
 def _linear_value(n: int, k: int, d: int) -> int:
@@ -82,12 +81,20 @@ def _sphere_packing(n: int, delta: int, start: int | None = None) -> int:
     t = floor((delta-1)/2): the 2^n codewords of a binary [N, n, >= delta]
     code own disjoint radius-t balls.  Once the test holds it holds for
     every larger N, since the ball at most doubles when N grows by one, so
-    the result is max(start, the least such N)."""
+    the result is max(start, the least such N).  The ball is summed by
+    C(N, i+1) = C(N, i) (N-i) / (i+1) and only until it passes 2^(N-n)."""
     t = (delta - 1) >> 1
     N = n if start is None else start
-    while 1 << (N - n) < sum(math.comb(N, i) for i in range(t + 1)):
+    while True:
+        room, ball, term = 1 << (N - n), 1, 1
+        for i in range(t):
+            term = term * (N - i) // (i + 1)
+            ball += term
+            if ball > room:
+                break
+        if ball <= room:
+            return N
         N += 1
-    return N
 
 
 @lru_cache(maxsize=1 << 12)
@@ -167,7 +174,7 @@ def exact_anchor(n: int, k: int, d: int, value: int, source: str) -> Anchor:
 
 def anchors_from_json(doc: dict) -> tuple[Anchor, ...]:
     out = []
-    for item in doc["anchors"]:
+    for item in _json_list(doc, "anchors"):
         if "value" in item:
             lo = hi = _json_int(item, "value")
         else:

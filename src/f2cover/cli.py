@@ -2,9 +2,10 @@
 
 Machine output is JSON on stdout; the human summary is one line on stderr.
 Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
-rule not applicable), 2 usage error (bad flags; n, k, d, s or size out of
-range; n above 20 for construct, solve and decide), 3 budget exhausted
-(solve then still emits the best cover it found).
+rule not applicable) or malformed input document, 2 usage error (bad
+flags; n, k, d, s or size out of range; n above 20 for construct, solve
+and decide), 3 budget exhausted (solve then still emits the best cover it
+found).
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
 F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.  A
@@ -74,11 +75,21 @@ def _emit(doc: dict | str, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _read_doc(path: str | None) -> dict:
+def _read_doc(path: str | None, parse):
+    """parse(doc) for the JSON document doc at path, or on stdin.  A
+    document of the wrong shape (a list for an object, a number for a
+    list) is malformed, a ValueError like a bad field, so it exits 1."""
     if path is None:
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            doc = json.load(fh)
+    if type(doc) is not dict:
+        raise ValueError(f"a document must be a JSON object, not {type(doc).__name__}")
+    try:
+        return parse(doc)
+    except TypeError as exc:
+        raise ValueError(f"malformed document: {exc}") from None
 
 
 def _mask(text: str) -> int:
@@ -148,7 +159,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    C = cover_from_json(_read_doc(args.infile))
+    C = _read_doc(args.infile, cover_from_json)
     report = verify(C, args.k)
     _emit(report.to_json(), args.out)
     ok = report.is_cover_for(args.k)
@@ -161,7 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
-    C = cover_from_json(_read_doc(args.infile))
+    C = _read_doc(args.infile, cover_from_json)
     u = GFVector(args.normal, C.n)
     x, y = restriction_census(C, u)
     R = restrict_to_hyperplane(C, u)
@@ -179,19 +190,19 @@ def _cmd_code(args: argparse.Namespace) -> int:
         _say(f"[{code.length},{code.dim}] generator emitted")
         return EXIT_OK
     if action == "mindist":
-        code = code_from_json(_read_doc(args.infile))
+        code = _read_doc(args.infile, code_from_json)
         dist = min_distance(code)
         _emit({"length": code.length, "dimension": code.dim,
                "min_distance": dist}, args.out)
         _say(f"[{code.length},{code.dim}] code: min distance {dist}")
         return EXIT_OK
     if action == "from-cover":
-        C = cover_from_json(_read_doc(args.infile))
+        C = _read_doc(args.infile, cover_from_json)
         code = code_from_cover(C)
         _emit(code.to_json(), args.out)
         _say(f"cover of F_2^{C.n} -> [{code.length},{code.dim}] code")
         return EXIT_OK
-    code = code_from_json(_read_doc(args.infile))
+    code = _read_doc(args.infile, code_from_json)
     C = cover_from_code(code)
     _emit(C.to_json(), args.out)
     _say(f"[{code.length},{code.dim}] code -> cover of F_2^{C.n} "
@@ -226,7 +237,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     anchors = [] if args.no_default_anchors else list(bundled_search_anchors())
     if args.anchors is not None:
-        anchors.extend(anchors_from_json(_read_doc(args.anchors)))
+        anchors.extend(_read_doc(args.anchors, anchors_from_json))
     anchors = [a for a in anchors if a.d == args.d]
     try:
         ledger = propagate(args.nmax, args.kmax, args.d, tuple(anchors))
@@ -244,7 +255,7 @@ def _solver_kwargs(args: argparse.Namespace) -> dict:
     nodes, seconds = _budgets(args)
     extra = None
     if args.seed_cover is not None:
-        extra = cover_from_json(_read_doc(args.seed_cover))
+        extra = _read_doc(args.seed_cover, cover_from_json)
     return {"max_nodes": nodes, "max_seconds": seconds, "extra_seed": extra}
 
 

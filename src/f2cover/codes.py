@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import gf2core
 from .covers import ConstructionTag, Cover
-from .gf2core import GFVector, _json_int, _json_mask, hyperplane
+from .gf2core import GFVector, _json_int, _json_list, _json_mask, hyperplane
 
 CODE_FORMAT_VERSION = 1
 
@@ -57,7 +57,7 @@ class LinearCode:
 def code_from_json(doc: dict) -> LinearCode:
     if doc.get("version", CODE_FORMAT_VERSION) != CODE_FORMAT_VERSION:
         raise ValueError(f"unsupported code document version {doc.get('version')!r}")
-    rows = tuple(_json_mask(s) for s in doc["rows"])
+    rows = tuple(_json_mask(s) for s in _json_list(doc, "rows"))
     return LinearCode(dim=_json_int(doc, "dim"), length=_json_int(doc, "length"), rows=rows)
 
 

@@ -111,7 +111,8 @@ def cover_from_json(doc: dict) -> Cover:
     if doc.get("version", COVER_FORMAT_VERSION) != COVER_FORMAT_VERSION:
         raise ValueError(f"unsupported cover document version {doc.get('version')!r}")
     entries = [
-        (gf2core.subspace_from_json(e["subspace"]), _json_int(e, "mult")) for e in doc["entries"]
+        (gf2core.subspace_from_json(e["subspace"]), _json_int(e, "mult"))
+        for e in gf2core._json_list(doc, "entries")
     ]
     tag = ConstructionTag.from_json(doc["tag"]) if "tag" in doc else None
     cover = Cover.from_entries(entries, tag=tag)

@@ -48,6 +48,15 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _json_list(doc: dict, key: str) -> list:
+    """doc[key], refused unless it is a JSON array: a string would be read
+    one character at a time."""
+    value = doc[key]
+    if type(value) is not list:
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
 def _json_mask(value) -> int:
     """A bit mask written as a JSON string: "0x1b", "0b11011" or "27".
 
@@ -162,7 +171,7 @@ class AffineSubspace:
 
 def subspace_from_json(doc: dict) -> AffineSubspace:
     n = _json_int(doc, "n")
-    normals = [_json_mask(s) for s in doc["normals"]]
+    normals = [_json_mask(s) for s in _json_list(doc, "normals")]
     rhs = _json_mask(doc["rhs"])
     if not 0 <= rhs < 1 << len(normals):
         raise ValueError(f"rhs {doc['rhs']!r} does not fit {len(normals)} rows")

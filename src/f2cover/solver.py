@@ -7,22 +7,21 @@ members are ever built as AffineSubspace objects.  A search state is a
 multiset over the pool.  What the search reads of it is bit-sliced by
 need: one mask per level j of the points still needing at least j more
 copies, so placing a member is k mask operations, not a loop over its
-points.  Branching follows deficient points: pick the worst uncovered
-point, try each of its usable coverers in turn, those through the most
-deficient points first, and forbid a tried coverer in the later
-siblings, so no multiset is reached twice.  The codimension alone
-chooses how: at d=1 a node finds the worst point per point and scores
-its few coverers one by one; at d >= 2 it finds the point over the 2^n
-points (_Search.pick) and, as a branch point's coverers lie in distinct
-linear systems, scores them all at once in bit planes one slab wide
-(_Search.ranked), listing them lazily.  A run ends at a cover whose
-size meets the root bound for its origin count, since none smaller
-exists; at d=1 that bound counts the length of the binary code the
-cover's origin-avoiding members form (CodeLength in
-bounds._closed_form_rules).  At d=1 only the first fresh coverer
-(normal outside the span of those placed) of each rhs is tried: the maps
-fixing the node make the others equivalent (orbital branching, see
-_Search).  Closed forms and the construction families shortcut the
+points.  A run is one loop over an explicit stack (_Search.run), and one
+routine gives the branching rule (_Search.children): pick the worst
+uncovered point, try each of its usable coverers in turn, those through
+the most deficient points first, and forbid a tried coverer in the later
+siblings, so no multiset is reached twice.  At d=1 a node finds that
+point per point and scores its few coverers one by one; at d >= 2 it
+finds the point over the 2^n points (_Search.pick) and scores all its
+coverers at once in bit planes one slab wide (_Search.ranked), listing
+them lazily.  A run ends at a cover whose size meets the root bound for
+its origin count, since none smaller exists; at d=1 that bound counts
+the length of the binary code the cover's origin-avoiding members form
+(CodeLength in bounds._closed_form_rules).  At d=1 only the first fresh
+coverer (normal outside the span of those placed) of each rhs is tried:
+the maps fixing the node make the others equivalent (orbital branching,
+see _Search).  Closed forms and the construction families shortcut the
 search whenever the root bounds already meet, so real branching only
 happens on cells where exhaustive search is the only known proof.
 
@@ -34,9 +33,9 @@ from __future__ import annotations
 
 import struct
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
 from .bounds import _closed_form_rules, _lo, exact_thm_a, lb_origin_exactly
 from .codes import golay_cover
@@ -88,10 +87,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _FoundWitness(Exception):
-    pass
-
-
 def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
@@ -133,26 +128,20 @@ class _Search:
     1..k), and the usable subset of the pool is one int.  Adding a member
     with point mask M lowers each level j by the points of M whose need is
     exactly j, with no per-point loop; undo is keeping the parent's ints.
-    A node branches on a top-level point with the fewest usable coverers,
-    found per point at d=1 and by pick at d >= 2.
-    A node tries its candidates by descending score, the points of lev[0]
-    a member covers.  On a tie the lowest system index goes first at
-    d >= 2, and the lowest member index at d=1, so there the members
-    through the origin come first.  It scores them one by one at d=1.
-    At d >= 2 ranked works in slab 0: each candidate is through(j, p) for
-    one system j, so folding the slabs onto slab 0 gives the candidates'
-    systems, and planes adds slab 0 of one point's coverer mask per point
-    into score_bits bit planes S bits wide, 2^d times narrower than the
-    pool.  The points are those of lev[0], or those outside it when lev[0]
-    holds more than half, since a member's score is cov less the points
-    it holds outside lev[0].  The planes split the systems into score
-    classes, which _ascending lists lazily, so a node whose first child
-    finds the witness peels one 64-bit word.
+    run walks the tree in one loop, with the path on an explicit list, so
+    its cost does not depend on its caller's stack depth.  The branching
+    rule is children(lev, usable) alone: a node branches on a top-level
+    point with the fewest usable coverers, found per point at d=1 and by
+    pick at d >= 2, and tries its candidates by descending score, the
+    points of lev[0] a member covers.  On a tie the lowest system index
+    goes first at d >= 2 (ranked, in bit planes one slab wide), and the
+    lowest member index at d=1, so there the members through the origin
+    come first.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
 
     At d=1 the search branches on orbits (Ostrowski et al., Math. Program.
-    126, 2011).  Let V span the normals placed so far, the root's e_1 too,
+    126, 2011).  Let V span the normals placed so far (the root e_1 first),
     and G(V) be the maps in GL(n,2) fixing every functional in V.  G(V)
     fixes each placed member, hence mult, the levels, the origin cap, the
     direction table and usable, which only ever loses fixed members, the
@@ -162,8 +151,8 @@ class _Search:
     of each side, then drops that side from usable: a g in G(V) with
     g(j) = i carries a cover using a later one, j, to one of the same size
     and origin count in i's subtree, and a direction-table prune of i
-    prunes its orbit.  self.span (V) and self.fresh follow the path; at
-    d >= 2 fresh is 0.
+    prunes its orbit.  run's span (V) and fresh follow the path; at d >= 2
+    fresh is 0.
     """
 
     def __init__(
@@ -229,10 +218,10 @@ class _Search:
         # Any valid cover owns an origin-avoiding member: all-through-origin
         # forces origin count == size <= k-1 < k, too few to cover any
         # nonzero point k times.  GL(n,2) is transitive on origin-avoiding
-        # codim-d subspaces and fixes the origin count, so every run
-        # preplaces one canonical representative: systems[0] is the least
-        # tuple, e_1..e_d, and member S is its coset with rhs 1 (x_1 = 1,
-        # x_2 = ... = x_d = 0).
+        # codim-d subspaces and fixes the origin count, so every run's
+        # first member is one canonical representative, the root: systems[0]
+        # is the least tuple, e_1..e_d, and member S is its coset with rhs 1
+        # (x_1 = 1, x_2 = ... = x_d = 0).
         self.root = S
         self.nodes = 0
         self.cov_shift = n - d
@@ -282,8 +271,8 @@ class _Search:
         return planes
 
     def ranked(self, p: int, cm: int, dm: int):
-        """The members of cm, all through point p, as (0, i) pairs in the
-        order of sorted((-|mask(i) & dm|, i % S)), listed lazily.  cm
+        """The members i of cm, all through point p, in the order of
+        sorted((-|mask(i) & dm|, i % S)), listed lazily.  cm
         holds at most one member per system, so folding its slabs onto
         slab 0 gives its systems, one bit each.  Each member holds cov
         points, so its score is cov less the points it holds outside dm:
@@ -300,7 +289,7 @@ class _Search:
         for plane in reversed(self.planes(p, classes[0], dm)):
             first, second = (~plane, plane) if outside else (plane, ~plane)
             classes = [part for c in classes for part in (c & first, c & second) if part]
-        return ((0, self.through(j, p)) for j in _ascending(classes))
+        return (self.through(j, p) for j in _ascending(classes))
 
     def pick(self, dm: int, top: int, usable: int) -> tuple[int, int]:
         """(branch point, usable coverer count) of a d >= 2 node: the top
@@ -341,73 +330,14 @@ class _Search:
         p = (top & -top).bit_length() - 1
         return p, cap - sum((plane >> p & 1) << t for t, plane in enumerate(counts))
 
-    def run(self, s: int, limit: int, floor: int) -> None:
-        """Search origin count exactly s for covers of size <= limit; floor
-        is a lower bound on them, so a cover of that size ends the run."""
-        n, k, npts, root = self.n, self.k, self.npts, self.root
-        self.s = s
-        self.limit = limit
-        self.floor = floor
-        self.best_mult: list[int] | None = None
-        self.dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
-        self.mult = [0] * len(self.masks)
-        self.mult[root] = 1
-        usable = (1 << len(self.masks)) - 1
-        if s == 0:
-            usable &= ~self.origin_pool
-        if k == 1:
-            usable &= ~(1 << root)
-        # d=1 systems are (1,), (2,), ..., so with S = root systems, normal u
-        # is members u-1 (rhs 0) and S+u-1 (rhs 1); the root's normal is 1
-        self.span = [0, 1]
-        self.fresh = ((1 << len(self.masks)) - 1) ^ (1 | 1 << root) if self.d == 1 else 0
-        self.sides = (self.origin_pool, self.origin_pool << root)
-        # The preplaced member avoids the origin and each of its self.cov
-        # points needs k, so it only lowers the top level; an emptied top
-        # level is dropped.
-        lev = [((1 << npts) - 2) | (j < s) for j in range(k)]
-        lev[-1] &= ~self.mask(root)
-        if not lev[-1]:
-            lev.pop()
-        with suppress(_FoundWitness):
-            self._node(lev, k * (npts - 1) + s - self.cov, 1, usable)
-
-    def _node(self, lev: list[int], def_total: int, size: int, usable: int) -> None:
-        """One search node: lev[j-1] masks the points still needing >= j
-        copies (empty levels dropped, so len(lev) is the largest need),
-        def_total is the total need and usable the members still allowed."""
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExhausted
-        # _past inlined, None test first: a node without a deadline pays one test
-        if (
-            self.deadline is not None
-            and (self.nodes & 255) == 1
-            and time.monotonic() > self.deadline
-        ):
-            raise _BudgetExhausted
-        limit = self.limit
-        if size + ((def_total + self.cov - 1) >> self.cov_shift) > limit:
-            return
-        # past the bound test, so a cover is recorded only within the limit
-        if def_total == 0:
-            self.best_mult = list(self.mult)
-            # a cover at the root bound has no smaller rival at this s
-            if self.stop_at_first or size <= self.floor:
-                raise _FoundWitness
-            self.limit = size - 1
-            return
-        # one member lowers a point's need by at most one
-        if size + len(lev) > limit:
-            return
-        # A deficient point with no usable coverer ends the node; otherwise
-        # branch on the point of largest need (the top level) with the
-        # fewest usable coverers, lowest index on a tie.  Its candidates,
-        # the usable members through it, one per system, are tried by
-        # descending score; the loop below reads only i of each pair.
+    def children(self, lev: list[int], usable: int):
+        """The candidates of the node (lev, usable), as an iterator of
+        members in the order run tries them, or None at a dead end: a
+        deficient point with no usable coverer.  The node branches on the
+        point of largest need (the top level) with the fewest usable
+        coverers, lowest index on a tie.  Its candidates, the usable members
+        through it, one per system, come by descending score."""
         coverer_masks = self.coverer_masks
-        masks = self.masks
-        S = len(self.systems)
         dm = lev[0]
         top = lev[-1]
         if self.d > 1:
@@ -416,85 +346,153 @@ class _Search:
             # decide(7,3,2,16,s=0) from 16 nodes past 100,000
             branch_p, best_cnt = self.pick(dm, top, usable)
             if not best_cnt:
-                return
-            cands = self.ranked(branch_p, coverer_masks[branch_p] & usable, dm)
-        else:
-            # one pool-wide AND per deficient point, then one score per
-            # candidate (at most 2^n - 1); ties by member index, so the
-            # members through the origin (slab 0) come first, which cuts
-            # prove's tree about 4x
-            best_cnt = -1
-            m = dm
-            while m:
-                b = m & -m
-                m ^= b
-                p = b.bit_length() - 1
-                c = coverer_masks[p] & usable
-                if not c:
-                    return
-                if b & top:
-                    cnt = c.bit_count()
-                    if best_cnt < 0 or cnt < best_cnt:
-                        best_cnt, branch_p = cnt, p
-            cm = coverer_masks[branch_p] & usable
-            cands = []
-            # one 64-bit word at a time: peeling bits off the whole pool-wide
-            # mask would copy it once per candidate; base is one below the
-            # pool index of the word's bit 0
-            base = -1
-            while cm:
-                w = cm & 0xFFFF_FFFF_FFFF_FFFF
-                cm >>= 64
-                while w:
-                    b = w & -w
-                    i = b.bit_length() + base
-                    w ^= b
-                    cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
-                base += 64
-            cands.sort()
+                return None
+            return self.ranked(branch_p, coverer_masks[branch_p] & usable, dm)
+        # one pool-wide AND per deficient point, then one score per
+        # candidate (at most 2^n - 1); ties by member index, so the
+        # members through the origin (slab 0) come first, which cuts
+        # prove's tree about 4x
+        masks = self.masks
+        best_cnt = -1
+        m = dm
+        while m:
+            b = m & -m
+            m ^= b
+            p = b.bit_length() - 1
+            c = coverer_masks[p] & usable
+            if not c:
+                return None
+            if b & top:
+                cnt = c.bit_count()
+                if best_cnt < 0 or cnt < best_cnt:
+                    best_cnt, branch_p = cnt, p
+        cm = coverer_masks[branch_p] & usable
+        cands = []
+        # one 64-bit word at a time: peeling bits off the whole pool-wide
+        # mask would copy it once per candidate; base is one below the
+        # pool index of the word's bit 0
+        base = -1
+        while cm:
+            w = cm & 0xFFFF_FFFF_FFFF_FFFF
+            cm >>= 64
+            while w:
+                b = w & -w
+                i = b.bit_length() + base
+                w ^= b
+                cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
+            base += 64
+        cands.sort()
+        return map(itemgetter(1), cands)
+
+    def run(self, s: int, limit: int, floor: int) -> None:
+        """Search origin count exactly s for covers of size <= limit; floor
+        is a lower bound on them, so a cover of that size ends the run.
+
+        The node being expanded lives in locals: lev, its total need
+        def_total, size, usable, span, fresh and cands, the iterator of its
+        untried candidates.  Each candidate's child is checked inline (node
+        count, budget, bound, cover, levels, then children), so a leaf costs
+        no frame; only a child that branches pushes its parent's state on
+        stack.  When cands runs out the parent is popped and resumes.  The
+        first node is the empty multiset, whose one candidate is the root."""
+        n, k, S = self.n, self.k, len(self.systems)
+        self.s = s
+        self.best_mult: list[int] | None = None
+        dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
+        masks = self.masks
+        mult = self.mult = [0] * len(masks)
+        origin_pool = self.origin_pool
+        # at d=1, the members through the origin and those avoiding it
+        sides = (origin_pool, origin_pool << S)
+        cov, cov_shift = self.cov, self.cov_shift
+        max_nodes, deadline = self.max_nodes, self.deadline
+        children = self.children
+        usable = (1 << len(masks)) - 1
+        if s == 0:
+            usable &= ~origin_pool
+        # d=1 systems are (1,), (2,), ..., so normal u is members u-1 (rhs 0)
+        # and S+u-1 (rhs 1); with nothing placed V is {0}, so all are fresh
+        span = [0]
+        fresh = (1 << len(masks)) - 1 if self.d == 1 else 0
+        lev = [(1 << self.npts) - 1] * s + [(1 << self.npts) - 2] * (k - s)
+        def_total, size, cands = k * (self.npts - 1) + s, 0, iter((self.root,))
+        stack, nodes = [], self.nodes
+        dm = lev[0]
         # exact[j]: the points whose need is exactly j+1; a member M takes
         # M & exact[j] down from level j+1 to level j
-        exact = [D ^ E for D, E in zip(lev, lev[1:])] + [top]
-        origin_last = exact[0] & 1
-        k = self.k
-        mult = self.mult
-        dir_lb = self.dir_lb
-        fresh, span = self.fresh, self.span
-        for _, i in cands:
-            is_fresh = fresh >> i & 1
-            if is_fresh and not usable >> i & 1:
-                continue  # its orbit's representative came first
-            mult[i] += 1
-            # at d=1, members S + j and j are the two sides of one direction:
-            # the first avoids the origin and the second goes through it
-            if dir_lb is None or dir_lb[mult[S + i % S]][mult[i % S]] <= self.limit:
-                M = masks[i] or self.mask(i)
-                # loops: a comprehension closes over what it reads (Python
-                # 3.11), which makes M, i and S cell variables of every node
-                child = []
-                for D, x in zip(lev, exact):
-                    child.append(D ^ (M & x))
-                if not child[-1]:
-                    child.pop()
-                cu = usable if mult[i] < k else usable ^ (1 << i)
-                if M & origin_last:
-                    cu &= ~self.origin_pool
-                if is_fresh:
-                    # normal u joins the span, and with it each u ^ v, v in span
-                    u, wider, spanned = i % S + 1, list(span), 0
-                    for v in span:
-                        wider.append(v ^ u)
-                        spanned |= 1 << (v ^ u) - 1
-                    self.span, self.fresh = wider, fresh & ~(spanned * (1 | 1 << S))
-                self._node(child, def_total - (M & dm).bit_count(), size + 1, cu)
-                self.span, self.fresh = span, fresh
-            # else the direction table proves the subtree (and i's orbit) empty
-            mult[i] -= 1
-            # exclusion: later siblings may not use member i, or its orbit
-            if is_fresh:
-                usable &= ~(fresh & self.sides[i >= S])
-            else:
-                usable ^= 1 << i
+        exact = [D ^ E for D, E in zip(lev, lev[1:])] + [lev[-1]]
+        try:
+            while True:
+                for i in cands:
+                    is_fresh = fresh >> i & 1
+                    if is_fresh and not usable >> i & 1:
+                        continue  # its orbit's representative came first
+                    mult[i] += 1
+                    # at d=1, members S + j and j are the two sides of one
+                    # direction, avoiding the origin and through it; a table
+                    # prune proves the subtree (and i's orbit) empty
+                    if dir_lb is None or dir_lb[mult[S + i % S]][mult[i % S]] <= limit:
+                        M = masks[i] or self.mask(i)
+                        cdef = def_total - (M & dm).bit_count()
+                        nodes += 1  # the child, of size size + 1
+                        if max_nodes is not None and nodes > max_nodes:
+                            raise _BudgetExhausted
+                        # _past inlined, None test first: a node without a
+                        # deadline pays one test
+                        if (deadline is not None and (nodes & 255) == 1
+                                and time.monotonic() > deadline):
+                            raise _BudgetExhausted
+                        # past the bound test, so a cover is recorded only
+                        # within the limit
+                        if size + ((cdef + cov - 1) >> cov_shift) >= limit:
+                            pass
+                        elif not cdef:
+                            self.best_mult = list(mult)
+                            # a cover at the root bound has no smaller rival at this s
+                            if self.stop_at_first or size < floor:
+                                return
+                            limit = size
+                        else:
+                            # loops: a comprehension closes over what it
+                            # reads (Python 3.11), making M a cell variable
+                            clev = []
+                            for D, x in zip(lev, exact):
+                                clev.append(D ^ (M & x))
+                            if not clev[-1]:
+                                clev.pop()
+                            # one member lowers a point's need by at most one
+                            if size + len(clev) < limit:
+                                cusable = usable if mult[i] < k else usable ^ (1 << i)
+                                if M & exact[0] & 1:
+                                    cusable &= ~origin_pool
+                                cspan, cfresh = span, fresh
+                                if is_fresh:
+                                    # normal u joins the span, and with it each u ^ v, v in span
+                                    u, cspan, spanned = i % S + 1, list(span), 0
+                                    for v in span:
+                                        cspan.append(v ^ u)
+                                        spanned |= 1 << (v ^ u) - 1
+                                    cfresh = fresh & ~(spanned * (1 | 1 << S))
+                                grand = children(clev, cusable)
+                                if grand is not None:
+                                    stack.append((cands, lev, dm, exact, def_total, size,
+                                                  usable, span, fresh, i))
+                                    cands, lev, dm, def_total = grand, clev, clev[0], cdef
+                                    size, usable, span, fresh = size + 1, cusable, cspan, cfresh
+                                    exact = [D ^ E for D, E in zip(lev, lev[1:])] + [lev[-1]]
+                                    break
+                    mult[i] -= 1
+                    # exclusion: later siblings may not use member i, or its orbit
+                    usable &= ~(fresh & sides[i >= S] if is_fresh else 1 << i)
+                else:
+                    if not stack:
+                        return
+                    # back to the parent, past its child i
+                    cands, lev, dm, exact, def_total, size, usable, span, fresh, i = stack.pop()
+                    mult[i] -= 1
+                    usable &= ~(fresh & sides[i >= S] if fresh >> i & 1 else 1 << i)
+        finally:
+            self.nodes = nodes
 
 
 def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:

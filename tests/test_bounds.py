@@ -136,6 +136,21 @@ def test_griesmer_and_sphere_packing_match_their_definitions():
     assert _griesmer(12, 8) == 23 and _code_length(12, 8) == 23
 
 
+def test_sphere_packing_matches_the_plain_ball_sum():
+    # The ball is summed term by term and only until it passes 2^(N-n);
+    # the least N must be that of the whole sum, from any start.
+    def plain(n, delta, start):
+        t, N = (delta - 1) >> 1, start
+        while 2 ** (N - n) < sum(math.comb(N, i) for i in range(t + 1)):
+            N += 1
+        return N
+
+    for n in range(1, 12):
+        for delta in range(1, 120, 7):
+            for start in (n, n + delta, 2 * (n + delta)):
+                assert _sphere_packing(n, delta, start) == plain(n, delta, start), (n, delta, start)
+
+
 def test_sphere_packing_dominates_hamming_ceil():
     # The integer sphere-packing length is never below the float packing
     # bound it replaced, and it is above it in most cells.
@@ -209,7 +224,8 @@ def test_anchor_json_forms():
 def test_bundled_anchor_set():
     anchors = bundled_search_anchors()
     assert len(anchors) == 9
-    assert sum(1 for a in anchors if a.lo == a.hi) == 8
+    # f(6,11,1) <= 23 rests on a bundled cover; ThmC gives its lo
+    assert sum(1 for a in anchors if a.lo == a.hi) == 7
     golay = [a for a in anchors if a.source == "golay"]
     assert len(golay) == 1 and golay[0].lo is None and golay[0].hi == 24
 

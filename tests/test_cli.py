@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+from importlib import resources
 
 import pytest
 
+from f2cover.bounds import bundled_search_anchors
 from f2cover.cli import build_parser, run
 from f2cover.constructions import gv_random_cover
 
@@ -420,6 +422,48 @@ def test_non_integer_document_fields_are_negative(tmp_path, capsys, monkeypatch)
     _feed(monkeypatch, doc)
     assert run(["verify", "--k", "2"]) == 1
     assert "must be an integer" in capsys.readouterr().err
+
+
+_LINE = {"version": 1, "n": 2, "d": 1, "entries": [
+    {"subspace": {"normals": ["0x1"], "rhs": "0b1", "n": 2}, "mult": 1}]}
+
+
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["verify", "--k", "1", "--in"], [], "a document must be a JSON object, not list"),
+        (["verify", "--k", "1", "--in"], {"n": 3, "d": 1, "entries": 5},
+         "'entries' must be a list"),
+        (["verify", "--k", "1", "--in"], {**_LINE, "tag": 5}, "malformed document"),
+        (["table", "--nmax", "3", "--kmax", "3", "--anchors"], {"anchors": 5},
+         "'anchors' must be a list"),
+        (["verify", "--k", "1", "--in"],
+         {**_LINE, "entries": [{"subspace": {"normals": "0x1", "rhs": "0b1", "n": 2}, "mult": 1}]},
+         "'normals' must be a list"),
+    ],
+    ids=["list", "entries", "tag", "anchors", "normals"],
+)
+def test_documents_of_the_wrong_shape_are_negative(tmp_path, capsys, argv, doc, message):
+    # A wrong JSON type anywhere in a document is one error line and exit 1,
+    # not a traceback, and a string of normals is not read one character
+    # at a time.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + [str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_the_bundled_f_6_11_1_cover_verifies(capsys):
+    # The anchor f(6,11,1) <= 23 names this cover; ThmC gives lo 23.
+    (anchor,) = [a for a in bundled_search_anchors() if (a.n, a.k, a.d) == (6, 11, 1)]
+    assert (anchor.lo, anchor.hi, anchor.source) == (None, 23, "data/cover_6_11_1.json")
+    path = resources.files("f2cover").joinpath(anchor.source)
+    assert run(["verify", "--k", "11", "--in", str(path)]) == 0
+    report, err = _out(capsys)
+    assert (report["origin_count"], report["min_nonzero"]) == (3, 11)
+    assert report["profile_checksum"] == "99ed864081d86d40"
+    assert "size=23 " in err
 
 
 @pytest.mark.parametrize(

@@ -268,31 +268,23 @@ def test_a_cover_at_the_root_bound_ends_the_run():
 
 @pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (6, 3)])
 def test_candidate_order_is_by_score_then_index(n, d):
-    # At random node states a node tries its branch point's usable
+    # At random node states children lists its branch point's usable
     # coverers in the order sorted((-|masks[i] & dm|, j)), j the index of
     # member i's system at d >= 2 (bit planes) and i itself at d=1 (one by
-    # one), or none when a deficient point has no usable coverer.  d=1's
-    # orbit exclusions are switched off here.
+    # one), or returns None when a deficient point has no usable coverer.
     rng = random.Random(10 * n + d)
     search = _Search(n, 2, d, False, None, None)
     masks, coverers = [search.mask(i) for i in range(len(search.masks))], search.coverer_masks
-    tried: list[int] = []
-
-    def node(lev, def_total, size, usable):
-        if size == 1:  # the run's root: search the drawn state instead
-            search.mult[search.root] = 0
-            search.fresh = 0
-            _Search._node(search, [dm], dm.bit_count(), 1, drawn)
-        else:
-            tried.append(search.mult.index(1))
-
-    search._node = node
     for _ in range(24):
         dm = sum(1 << p for p in rng.sample(range(search.npts), rng.randint(1, search.npts)))
         drawn = (1 << len(masks)) - 1
         for _ in range(rng.randint(1, 7)):
             drawn &= rng.getrandbits(len(masks))
         points = [p for p in range(search.npts) if dm >> p & 1]
+        cands = search.children([dm], drawn)
+        if not all(coverers[q] & drawn for q in points):
+            assert cands is None
+            continue
         _, p = min(((coverers[p] & drawn).bit_count(), p) for p in points)
         cm = coverers[p] & drawn
         members = [i for i in range(len(masks)) if cm >> i & 1]
@@ -301,11 +293,7 @@ def test_candidate_order_is_by_score_then_index(n, d):
              i if d == 1 else search.systems.index(search.member(i).normals), i)
             for i in members
         )
-        if not all(coverers[q] & drawn for q in points):
-            expected = []
-        tried.clear()
-        search.run(0, 1 << 30, 0)
-        assert tried == [i for *_, i in expected]
+        assert list(cands) == [i for *_, i in expected]
 
 
 def test_origin_cap_node_count_is_pinned():
@@ -358,13 +346,17 @@ def test_result_documents_are_pinned(call, digest):
     ids=["g4310", "g3611", "g4411", "decide4312"],
 )
 def test_level_masks_match_a_recount(monkeypatch, call, args):
-    # At every node the level masks, the total need, the caps on the usable
-    # members and the fresh members (d=1: normal outside the span of the
-    # placed normals; d >= 2: none) must equal what a recount of mult gives.
-    node = _Search._node
+    # At every node that reaches branching, the child's level masks, total
+    # need, size, the caps on its usable members and its fresh members
+    # (d=1: normal outside the span of the placed normals; d >= 2: none)
+    # must equal what a recount of mult gives.  run checks each child
+    # inline and calls children(lev, usable) with the child's state; its
+    # locals cdef, size (the parent's) and cfresh hold the rest.
+    children = _Search.children
     visits = []
 
-    def checked(self, lev, def_total, size, usable):
+    def checked(self, lev, usable):
+        child = sys._getframe(1).f_locals
         counts = [0] * self.npts
         for m, mask in zip(self.mult, self.masks):
             for p in range(self.npts):
@@ -372,7 +364,7 @@ def test_level_masks_match_a_recount(monkeypatch, call, args):
         needs = [max(0, (self.k if p else self.s) - c) for p, c in enumerate(counts)]
         levels = range(1, max(needs) + 1)
         assert lev == [sum(1 << p for p, x in enumerate(needs) if x >= j) for j in levels]
-        assert def_total == sum(needs) and size == sum(self.mult)
+        assert child["cdef"] == sum(needs) and child["size"] + 1 == sum(self.mult)
         assert counts[0] <= self.s
         capped = sum(1 << i for i, m in enumerate(self.mult) if m >= self.k)
         if counts[0] == self.s:
@@ -386,35 +378,56 @@ def test_level_masks_match_a_recount(monkeypatch, call, args):
                 if m:
                     span |= {v ^ u for v in span}
             fresh = sum(1 << i for i, u in enumerate(normals) if u not in span)
-        assert self.fresh == fresh
-        visits.append(size)
-        node(self, lev, def_total, size, usable)
+        assert child["cfresh"] == fresh
+        visits.append(sum(self.mult))
+        return children(self, lev, usable)
 
-    monkeypatch.setattr(_Search, "_node", checked)
+    monkeypatch.setattr(_Search, "children", checked)
     result = call(*args)
-    assert len(visits) == result.nodes > 0
+    assert 0 < len(visits) <= result.nodes
 
 
 @pytest.mark.parametrize("args", [(4, 4, 1, 1), (5, 3, 1, 0), (4, 5, 1, 2), (6, 3, 1, 0)])
 def test_no_cover_is_recorded_over_the_limit(monkeypatch, args):
     # A leaf that completes a cover may record it only within the limit of
-    # the moment, so a same-size sibling never replaces the first cover.
-    node = _Search._node
+    # the moment, which is one below the last cover recorded, so the sizes
+    # recorded strictly fall: a same-size sibling never replaces the first.
     recorded = []
 
-    def checked(self, lev, def_total, size, usable):
-        limit, best = self.limit, self.best_mult
-        try:
-            node(self, lev, def_total, size, usable)
-        finally:
-            # a cover is recorded by the leaf that completes it (def_total == 0)
-            if def_total == 0 and self.best_mult is not best:
-                assert size <= limit
-                recorded.append(size)
+    class Recording(_Search):
+        @property
+        def best_mult(self):
+            return self.__dict__["best_mult"]
 
-    monkeypatch.setattr(_Search, "_node", checked)
+        @best_mult.setter
+        def best_mult(self, mult):
+            if mult is not None:
+                recorded.append(sum(mult))
+            self.__dict__["best_mult"] = mult
+
+    monkeypatch.setattr(solver_module, "_Search", Recording)
     result = solve_g(*args)
-    assert recorded and min(recorded) == result.value
+    assert recorded and recorded == sorted(set(recorded), reverse=True)
+    assert recorded[-1] == result.value
+
+
+def test_search_depth_does_not_grow_the_stack():
+    # run walks the tree in one loop, so a deep tree needs no deeper Python
+    # stack: with 20 frames to spare above the caller, a 27-member witness
+    # and the whole f(5,4,1) proof run.  A search that recursed once per
+    # placed member raised RecursionError on the first.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        witness = decide(7, 3, 3, 27, s=0)
+        proof = solve_min(5, 4, 1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (witness.status, witness.value) == ("feasible", 27)
+    assert (proof.status, proof.value, proof.nodes) == ("optimal", 10, 533)
 
 
 def _parity(x: int) -> int:
@@ -587,7 +600,7 @@ def test_system_scores_match_member_masks(n, d):
         assert [search.through(j, p) for j in systems] == cm
         order = sorted((-expected[j], j, i) for i, j in zip(cm, systems))
         ranked = search.ranked(p, sum(1 << i for i in cm), dm)
-        assert [i for *_, i in ranked] == [i for *_, i in order]
+        assert list(ranked) == [i for *_, i in order]
         assert counted.pop() == min(dm.bit_count(), npts - dm.bit_count())
 
 

@@ -51,6 +51,8 @@ def test_all_names_exactly_the_public_bindings():
 
 
 def test_node_loop_holds_no_cell_variables():
-    # A closure inside _node (a generator over self, say) would make its
-    # captured names cell variables, read indirectly in every node.
-    assert _Search._node.__code__.co_cellvars == ()
+    # A closure inside the search loop or the branching rule (a generator
+    # over self, say) would make its captured names cell variables, read
+    # indirectly at every node.
+    assert _Search.run.__code__.co_cellvars == ()
+    assert _Search.children.__code__.co_cellvars == ()
