@@ -11,6 +11,7 @@ and multiplicity recursions and records which rule set each endpoint.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -81,12 +82,16 @@ def _sphere_packing(n: int, delta: int, start: int | None = None) -> int:
     t = floor((delta-1)/2): the 2^n codewords of a binary [N, n, >= delta]
     code own disjoint radius-t balls.  Once the test holds it holds for
     every larger N, since the ball at most doubles when N grows by one, so
-    the result is max(start, the least such N).  The ball is summed by
-    C(N, i+1) = C(N, i) (N-i) / (i+1) and only until it passes 2^(N-n)."""
+    the result is max(start, the least such N).  When 2t <= N the terms
+    grow up to C(N, t), so (t+1) C(N, t) <= 2^(N-n) settles the test
+    without the sum.  Otherwise the ball is summed by C(N, i+1) =
+    C(N, i) (N-i) / (i+1) and only until it passes 2^(N-n)."""
     t = (delta - 1) >> 1
     N = n if start is None else start
     while True:
         room, ball, term = 1 << (N - n), 1, 1
+        if 2 * t <= N and (t + 1) * math.comb(N, t) <= room:
+            return N
         for i in range(t):
             term = term * (N - i) // (i + 1)
             ball += term

@@ -41,7 +41,8 @@ def _pad_pairs(entries: list[tuple[AffineSubspace, int]], n: int, count: int) ->
 
 
 def _dense_d1(m: int, k: int) -> Cover:
-    """Hyperplane (k,1)-cover of F_2^m of size 2k - floor(k / 2^(m-1))."""
+    """Hyperplane (k,1)-cover of F_2^m of size 2k - floor(k / 2^(m-1)),
+    for k >= 2^(m-2), the dense regime that thm_a_cover checks."""
     entries: list[tuple[AffineSubspace, int]] = []
     if m == 1:
         entries.append((hyperplane(basis_vector(1, 1), 1), k))
@@ -54,8 +55,6 @@ def _dense_d1(m: int, k: int) -> Cover:
         _pad_pairs(entries, m, rest)
     else:
         quarter = 1 << (m - 2)
-        if k < quarter:
-            raise ValueError(f"k={k} below the dense regime threshold {quarter} for m={m}")
         # all hyperplanes {x.u=1} whose normal has the top coordinate set
         for u in range(half, 1 << m):
             entries.append((hyperplane(GFVector(u, m), 1), 1))

@@ -110,6 +110,20 @@ def _ascending(classes: list[int]):
                 yield b.bit_length() - 1 + base
 
 
+def _tally(xs, width: int) -> list[int]:
+    """How many of the ints xs set each bit, in bit planes: bit j of
+    planes[t] is bit t of that count, which must be below 2^width.  Each
+    x is added with a ripple carry."""
+    planes = [0] * width
+    for x in xs:
+        for t, plane in enumerate(planes):
+            planes[t] = plane ^ x
+            x &= plane
+            if not x:
+                break
+    return planes
+
+
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
@@ -144,15 +158,16 @@ class _Search:
     126, 2011).  Let V span the normals placed so far (the root e_1 first),
     and G(V) be the maps in GL(n,2) fixing every functional in V.  G(V)
     fixes each placed member, hence mult, the levels, the origin cap, the
-    direction table and usable, which only ever loses fixed members, the
-    origin pool and whole orbits.  It is transitive on the normals outside
-    V and keeps rhs, so the fresh members (normal not in V) form two
-    orbits, rhs 0 and rhs 1.  A node tries only the first fresh candidate i
-    of each side, then drops that side from usable: a g in G(V) with
-    g(j) = i carries a cover using a later one, j, to one of the same size
-    and origin count in i's subtree, and a direction-table prune of i
-    prunes its orbit.  run's span (V) and fresh follow the path; at d >= 2
-    fresh is 0.
+    direction table and usable, which only ever loses tried members (normal
+    in V, so fixed), whole orbits and the origin pool.  It is transitive on
+    the normals outside V and keeps rhs, so the fresh members (normal not
+    in V) form two orbits, rhs 0 and rhs 1.  A node tries only the first
+    fresh candidate i of each side, then drops that side from usable: a g
+    in G(V) with g(j) = i carries a cover using a later one, j, to one of
+    the same size and origin count in i's subtree, and a direction-table
+    prune of i prunes its orbit.  run holds V only as the complement of
+    fresh, which follows the path: V is 0 and the normals of the members
+    of slab 0 that are not fresh.  At d >= 2 fresh is 0.
     """
 
     def __init__(
@@ -255,20 +270,9 @@ class _Search:
         is bit t of the score of through(j, p).  That member holds point q
         iff every row of systems[j] vanishes at p ^ q, that is, iff bit j
         of coverer_masks[p ^ q] is set, so each q of dm adds
-        coverer_masks[p ^ q] & cs with a ripple carry."""
+        coverer_masks[p ^ q] & cs."""
         coverer_masks = self.coverer_masks
-        planes = [0] * self.score_bits
-        m = dm
-        while m:
-            b = m & -m
-            m ^= b
-            x = coverer_masks[p ^ (b.bit_length() - 1)] & cs
-            for t, plane in enumerate(planes):
-                planes[t] = plane ^ x
-                x &= plane
-                if not x:
-                    break
-        return planes
+        return _tally((coverer_masks[p ^ q] & cs for q in _ascending([dm])), self.score_bits)
 
     def ranked(self, p: int, cm: int, dm: int):
         """The members i of cm, all through point p, in the order of
@@ -291,9 +295,9 @@ class _Search:
             classes = [part for c in classes for part in (c & first, c & second) if part]
         return (self.through(j, p) for j in _ascending(classes))
 
-    def pick(self, dm: int, top: int, usable: int) -> tuple[int, int]:
-        """(branch point, usable coverer count) of a d >= 2 node: the top
-        point with the fewest usable coverers, lowest on a tie, counted
+    def pick(self, dm: int, top: int, usable: int) -> int | None:
+        """The branch point of a d >= 2 node, or None at a dead end: the
+        top point with the fewest usable coverers, lowest on a tie, counted
         over the 2^n points from the members usable excludes, not by one
         pool-wide AND per deficient point.
 
@@ -301,34 +305,26 @@ class _Search:
         lies in slab_cover of slab 0's.  So when slab 0 is wholly excluded
         a deficient origin is dead and a nonzero point keeps S - slab_cover
         less its excluded coverers outside slab 0; otherwise it keeps S
-        less all of them.  A dead end reads count 0 at its lowest dead
-        point."""
+        less all of them.  A deficient point is dead when it keeps none."""
         S = len(self.systems)
         cap = S
         excluded = ((1 << len(self.masks)) - 1) ^ usable
         if not usable & self.origin_pool:
             if dm & 1:
-                return 0, 0
+                return None
             cap = S - self.slab_cover
             excluded ^= self.origin_pool
-        counts = [0] * cap.bit_length()
-        for i in _ascending([excluded]):
-            x = self.masks[i] or self.mask(i)
-            for t, plane in enumerate(counts):
-                counts[t] = plane ^ x
-                x &= plane
-                if not x:
-                    break
+        xs = (self.masks[i] or self.mask(i) for i in _ascending([excluded]))
+        counts = _tally(xs, cap.bit_length())
         dead = dm
         for t, plane in enumerate(counts):
             dead &= plane if cap >> t & 1 else ~plane
         if dead:
-            return (dead & -dead).bit_length() - 1, 0
+            return None
         for plane in reversed(counts):
             if top & plane:
                 top &= plane
-        p = (top & -top).bit_length() - 1
-        return p, cap - sum((plane >> p & 1) << t for t, plane in enumerate(counts))
+        return (top & -top).bit_length() - 1
 
     def children(self, lev: list[int], usable: int):
         """The candidates of the node (lev, usable), as an iterator of
@@ -344,8 +340,8 @@ class _Search:
             # the point over the 2^n points, the scores in bit planes one
             # slab wide; ties by system, as member order would take
             # decide(7,3,2,16,s=0) from 16 nodes past 100,000
-            branch_p, best_cnt = self.pick(dm, top, usable)
-            if not best_cnt:
+            branch_p = self.pick(dm, top, usable)
+            if branch_p is None:
                 return None
             return self.ranked(branch_p, coverer_masks[branch_p] & usable, dm)
         # one pool-wide AND per deficient point, then one score per
@@ -389,7 +385,7 @@ class _Search:
         is a lower bound on them, so a cover of that size ends the run.
 
         The node being expanded lives in locals: lev, its total need
-        def_total, size, usable, span, fresh and cands, the iterator of its
+        def_total, size, usable, fresh and cands, the iterator of its
         untried candidates.  Each candidate's child is checked inline (node
         count, budget, bound, cover, levels, then children), so a leaf costs
         no frame; only a child that branches pushes its parent's state on
@@ -412,7 +408,6 @@ class _Search:
             usable &= ~origin_pool
         # d=1 systems are (1,), (2,), ..., so normal u is members u-1 (rhs 0)
         # and S+u-1 (rhs 1); with nothing placed V is {0}, so all are fresh
-        span = [0]
         fresh = (1 << len(masks)) - 1 if self.d == 1 else 0
         lev = [(1 << self.npts) - 1] * s + [(1 << self.npts) - 2] * (k - s)
         def_total, size, cands = k * (self.npts - 1) + s, 0, iter((self.root,))
@@ -462,23 +457,22 @@ class _Search:
                                 clev.pop()
                             # one member lowers a point's need by at most one
                             if size + len(clev) < limit:
-                                cusable = usable if mult[i] < k else usable ^ (1 << i)
-                                if M & exact[0] & 1:
-                                    cusable &= ~origin_pool
-                                cspan, cfresh = span, fresh
+                                cusable = usable & ~origin_pool if M & exact[0] & 1 else usable
+                                cfresh = fresh
                                 if is_fresh:
-                                    # normal u joins the span, and with it each u ^ v, v in span
-                                    u, cspan, spanned = i % S + 1, list(span), 0
-                                    for v in span:
-                                        cspan.append(v ^ u)
-                                        spanned |= 1 << (v ^ u) - 1
+                                    # normal u joins V, and with it each u ^ v, v in V:
+                                    # 0 and normal j+1 for each member j of slab 0 not fresh
+                                    u = i % S + 1
+                                    spanned = 1 << u - 1
+                                    for j in _ascending([~fresh & origin_pool]):
+                                        spanned |= 1 << ((j + 1) ^ u) - 1
                                     cfresh = fresh & ~(spanned * (1 | 1 << S))
                                 grand = children(clev, cusable)
                                 if grand is not None:
                                     stack.append((cands, lev, dm, exact, def_total, size,
-                                                  usable, span, fresh, i))
+                                                  usable, fresh, i))
                                     cands, lev, dm, def_total = grand, clev, clev[0], cdef
-                                    size, usable, span, fresh = size + 1, cusable, cspan, cfresh
+                                    size, usable, fresh = size + 1, cusable, cfresh
                                     exact = [D ^ E for D, E in zip(lev, lev[1:])] + [lev[-1]]
                                     break
                     mult[i] -= 1
@@ -488,7 +482,7 @@ class _Search:
                     if not stack:
                         return
                     # back to the parent, past its child i
-                    cands, lev, dm, exact, def_total, size, usable, span, fresh, i = stack.pop()
+                    cands, lev, dm, exact, def_total, size, usable, fresh, i = stack.pop()
                     mult[i] -= 1
                     usable &= ~(fresh & sides[i >= S] if fresh >> i & 1 else 1 << i)
         finally:
@@ -504,20 +498,18 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     restricts to the linear side as a (k - b')-cover, so at least the
     closed-form lower bound for f(n-1, k - b') more.  b' stays at most the
     origin count s <= k-1 because each zero-side copy goes through the
-    origin.
+    origin.  The minimum over the extensions is taken by suffix minima, in
+    a (k+2) x (k+2) table whose last row and column, like every b > s,
+    stay at a value no cover reaches.
     """
     flo = [0] + [_lo(_closed_form_rules(n - 1, kp, 1)) for kp in range(1, k + 1)]
     never = 1 << 30
-    table = [[never] * (k + 1) for _ in range(k + 1)]
-    for a0 in range(k + 1):
-        for b0 in range(k + 1):
-            best = never
-            for a in range(a0, k + 1):
-                for b in range(b0, s + 1):
-                    affine_side = 2 * (k - a) if a < k else 0
-                    linear_side = flo[k - b]
-                    best = min(best, a + b + max(affine_side, linear_side))
-            table[a0][b0] = best
+    table = [[never] * (k + 2) for _ in range(k + 2)]
+    for a in range(k, -1, -1):
+        row, below = table[a], table[a + 1]
+        for b in range(s, -1, -1):
+            here = a + b + max(2 * (k - a), flo[k - b])
+            row[b] = min(here, below[b], row[b + 1])
     return table
 
 

@@ -424,29 +424,42 @@ def test_non_integer_document_fields_are_negative(tmp_path, capsys, monkeypatch)
     assert "must be an integer" in capsys.readouterr().err
 
 
-_LINE = {"version": 1, "n": 2, "d": 1, "entries": [
-    {"subspace": {"normals": ["0x1"], "rhs": "0b1", "n": 2}, "mult": 1}]}
+def _line(n, mult=1):
+    return {"version": 1, "n": n, "d": 1, "entries": [
+        {"subspace": {"normals": ["0x1"], "rhs": "0b1", "n": n}, "mult": mult}]}
+
+
+# the 21 hyperplanes x_i = 1, a 1-cover of F_2^21
+_COORDINATES_21 = {"version": 1, "n": 21, "d": 1, "entries": [
+    {"subspace": {"normals": [hex(1 << i)], "rhs": "0b1", "n": 21}, "mult": 1} for i in range(21)]}
+_VERIFY = ["verify", "--k", "1", "--in"]
 
 
 @pytest.mark.parametrize(
     "argv,doc,message",
     [
-        (["verify", "--k", "1", "--in"], [], "a document must be a JSON object, not list"),
-        (["verify", "--k", "1", "--in"], {"n": 3, "d": 1, "entries": 5},
-         "'entries' must be a list"),
-        (["verify", "--k", "1", "--in"], {**_LINE, "tag": 5}, "malformed document"),
+        (_VERIFY, [], "a document must be a JSON object, not list"),
+        (_VERIFY, {"n": 3, "d": 1, "entries": 5}, "'entries' must be a list"),
+        (_VERIFY, {**_line(2), "tag": 5}, "malformed document"),
         (["table", "--nmax", "3", "--kmax", "3", "--anchors"], {"anchors": 5},
          "'anchors' must be a list"),
-        (["verify", "--k", "1", "--in"],
-         {**_LINE, "entries": [{"subspace": {"normals": "0x1", "rhs": "0b1", "n": 2}, "mult": 1}]},
+        (_VERIFY,
+         {**_line(2), "entries": [{"subspace": {"normals": "0x1", "rhs": "0b1", "n": 2}, "mult": 1}]},
          "'normals' must be a list"),
+        (_VERIFY, _line(2, 0), "multiplicity 0 below 1"),
+        (_VERIFY, _line(2, -2), "multiplicity -2 below 1"),
+        (_VERIFY, _line(25), "ambient dimension 25 outside 1..24"),
+        (_VERIFY, _line(0), "ambient dimension 0 outside 1..24"),
+        (_VERIFY, _COORDINATES_21, "ambient dimension 21 above the point-loop limit 20"),
     ],
-    ids=["list", "entries", "tag", "anchors", "normals"],
+    ids=["list", "entries", "tag", "anchors", "normals", "mult0", "mult-2", "n25", "n0", "n21"],
 )
 def test_documents_of_the_wrong_shape_are_negative(tmp_path, capsys, argv, doc, message):
     # A wrong JSON type anywhere in a document is one error line and exit 1,
     # not a traceback, and a string of normals is not read one character
-    # at a time.
+    # at a time.  So is a value out of range: a multiplicity below 1 or a
+    # dimension outside 1..24, and a well-formed cover past the 2^20
+    # points that verify walks, refused before the walk.
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert run(argv + [str(path)]) == 1

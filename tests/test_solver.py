@@ -16,13 +16,14 @@ from types import SimpleNamespace
 import pytest
 
 import f2cover
-from f2cover.bounds import _closed_form_rules, g_smax_formula
+from f2cover.bounds import _closed_form_rules, _lo, g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import AffineSubspace, enumerate_subspaces
 from f2cover import covers as covers_module
 from f2cover import solver as solver_module
-from f2cover.solver import STATUSES, _BudgetExhausted, _Search, decide, solve_g, solve_min
+from f2cover.solver import (STATUSES, _BudgetExhausted, _direction_lb_table, _Search, decide,
+                            solve_g, solve_min)
 from gf2_reference import solution_bits
 
 
@@ -336,24 +337,28 @@ def test_result_documents_are_pinned(call, digest):
 
 
 @pytest.mark.parametrize(
-    "call,args",
+    "call,args,k_kept",
     [
-        (solve_g, (4, 3, 1, 0)),
-        (solve_g, (3, 6, 1, 1)),  # origin cap and direction table
-        (solve_g, (4, 4, 1, 1)),  # orbit exclusions at every depth
-        (lambda *a: decide(*a, s=0), (4, 3, 2, 12)),
+        (solve_g, (4, 3, 1, 0), False),
+        (solve_g, (3, 6, 1, 1), False),  # origin cap and direction table
+        (solve_g, (4, 4, 1, 1), False),  # orbit exclusions at every depth
+        (lambda *a: decide(*a, s=0), (4, 3, 2, 12), False),
+        (solve_g, (3, 3, 2, 0), True),  # a member with k copies stays usable
     ],
-    ids=["g4310", "g3611", "g4411", "decide4312"],
+    ids=["g4310", "g3611", "g4411", "decide4312", "g3320"],
 )
-def test_level_masks_match_a_recount(monkeypatch, call, args):
+def test_level_masks_match_a_recount(monkeypatch, call, args, k_kept):
     # At every node that reaches branching, the child's level masks, total
-    # need, size, the caps on its usable members and its fresh members
-    # (d=1: normal outside the span of the placed normals; d >= 2: none)
-    # must equal what a recount of mult gives.  run checks each child
+    # need, size, the origin cap on its usable members and its fresh
+    # members (d=1: normal outside the span of the placed normals; d >= 2:
+    # none) must equal what a recount of mult gives.  run checks each child
     # inline and calls children(lev, usable) with the child's state; its
-    # locals cdef, size (the parent's) and cfresh hold the rest.
+    # locals cdef, size (the parent's) and cfresh hold the rest.  usable
+    # keeps a member placed k times, which covers each of its points k
+    # times, so children never lists it: k_kept says the cell reaches a
+    # node where such a member is usable.
     children = _Search.children
-    visits = []
+    visits, kept = [], []
 
     def checked(self, lev, usable):
         child = sys._getframe(1).f_locals
@@ -366,10 +371,9 @@ def test_level_masks_match_a_recount(monkeypatch, call, args):
         assert lev == [sum(1 << p for p, x in enumerate(needs) if x >= j) for j in levels]
         assert child["cdef"] == sum(needs) and child["size"] + 1 == sum(self.mult)
         assert counts[0] <= self.s
-        capped = sum(1 << i for i, m in enumerate(self.mult) if m >= self.k)
         if counts[0] == self.s:
-            capped |= self.origin_pool
-        assert not usable & capped
+            assert not usable & self.origin_pool
+        kept.append(any(usable >> i & 1 for i, m in enumerate(self.mult) if m >= self.k))
         fresh = 0
         if self.d == 1:
             normals = [self.member(i).normals[0] for i in range(len(self.masks))]
@@ -380,11 +384,17 @@ def test_level_masks_match_a_recount(monkeypatch, call, args):
             fresh = sum(1 << i for i, u in enumerate(normals) if u not in span)
         assert child["cfresh"] == fresh
         visits.append(sum(self.mult))
-        return children(self, lev, usable)
+        cands = children(self, lev, usable)
+        if cands is None:
+            return None
+        cands = list(cands)
+        assert all(self.mult[i] < self.k for i in cands)
+        return iter(cands)
 
     monkeypatch.setattr(_Search, "children", checked)
     result = call(*args)
     assert 0 < len(visits) <= result.nodes
+    assert any(kept) == k_kept
 
 
 @pytest.mark.parametrize("args", [(4, 4, 1, 1), (5, 3, 1, 0), (4, 5, 1, 2), (6, 3, 1, 0)])
@@ -606,12 +616,12 @@ def test_system_scores_match_member_masks(n, d):
 
 @pytest.mark.parametrize("n,d", [(n, d) for d in (2, 3) for n in range(d + 1, d + 4)])
 def test_pick_matches_a_per_point_recount(n, d):
-    # At random d >= 2 node states, pick's branch point and usable coverer
-    # count must be those of a plain recount over the members' points: the
-    # top point with the fewest usable coverers, lowest on a tie, or count
-    # 0 when a deficient point has none.  Slab 0 (the members through the
-    # origin) is wholly excluded, as at s = 0 or once the origin is full,
-    # or partly usable.  Up to half the pool is excluded besides.
+    # At random d >= 2 node states, pick's branch point must be that of a
+    # plain recount over the members' points: the top point with the fewest
+    # usable coverers, lowest on a tie, or None when a deficient point has
+    # none.  Slab 0 (the members through the origin) is wholly excluded, as
+    # at s = 0 or once the origin is full, or partly usable.  Up to half
+    # the pool is excluded besides.
     rng = random.Random(10 * n + d)
     search = _Search(n, 3, d, False, None, None)
     npts, size = search.npts, len(search.masks)
@@ -642,12 +652,29 @@ def test_pick_matches_a_per_point_recount(n, d):
         dead = min(counts.values()) == 0
         picked = search.pick(dm, top, usable)
         if dead:
-            assert picked[1] == 0 and counts[picked[0]] == 0
+            assert picked is None
         else:
-            assert picked == min((counts[q], q) for q in counts if top >> q & 1)[::-1]
+            assert picked == min((counts[q], q) for q in counts if top >> q & 1)[1]
         seen.add((dead, not usable & slab0, bool(dm & 1)))
     assert {dead for dead, *_ in seen} == {False, True}
     assert {(gone, origin) for _, gone, origin in seen} >= {(False, True), (True, False)}
+
+
+def test_direction_table_matches_the_quadruple_loop():
+    # The table is taken by suffix minima; each entry must be the plain
+    # minimum over every extension a' >= a, b' in [b, s] it stands for.
+    for n in range(2, 9):
+        for k in range(1, 14):
+            flo = [0] + [_lo(_closed_form_rules(n - 1, kp, 1)) for kp in range(1, k + 1)]
+            for s in range(k):
+                expected = [
+                    [min((a + b + max(2 * (k - a), flo[k - b])
+                          for a in range(a0, k + 1) for b in range(b0, s + 1)), default=1 << 30)
+                     for b0 in range(k + 1)]
+                    for a0 in range(k + 1)
+                ]
+                table = _direction_lb_table(n, k, s)
+                assert [row[:k + 1] for row in table[:k + 1]] == expected, (n, k, s)
 
 
 def test_time_budget_bounds_pool_build():
