@@ -161,28 +161,20 @@ def _check_counting(C: Cover) -> None:
         raise ValueError(f"cover size {C.size} above the coverage count limit 2^32 - 1")
 
 
-# The unit and coordinate patterns of _profile_bytes, kept per n up to
-# PATTERN_CACHE_MAX_N: (n + 1) * 4 * 2^n bytes each, 0.375 MiB for all
-# n <= 12 together.  Larger n rebuild theirs on every call: at n = 20 each
-# pattern is 4 MiB.
+# The 32-bit point patterns of _profile_bytes (gf2core.point_patterns),
+# kept per n up to PATTERN_CACHE_MAX_N: (n + 1) * 4 * 2^n bytes each,
+# 0.375 MiB for all n <= 12 together.  Larger n rebuild theirs on every
+# call: at n = 20 each pattern is 4 MiB.
 PATTERN_CACHE_MAX_N = 12
 _patterns_by_n: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 def _patterns(n: int) -> tuple[int, tuple[int, ...]]:
-    """unit, 1 in every field of 2^n, and coords[c], 1 in field x iff bit
-    c of x is set."""
-    if n in _patterns_by_n:
-        return _patterns_by_n[n]
-    zero4, one4 = bytes(4), (1).to_bytes(4, "little")
-    unit = int.from_bytes(one4 * (1 << n), "little")
-    coords = tuple(
-        int.from_bytes((zero4 * (1 << c) + one4 * (1 << c)) * (1 << (n - c - 1)), "little")
-        for c in range(n)
-    )
+    """gf2core.point_patterns(n, 32), from the cache when n is in it."""
+    got = _patterns_by_n.get(n) or gf2core.point_patterns(n, 32)
     if n <= PATTERN_CACHE_MAX_N:
-        _patterns_by_n[n] = unit, coords
-    return unit, coords
+        _patterns_by_n[n] = got
+    return got
 
 
 def _profile_bytes(C: Cover) -> bytes:

@@ -248,11 +248,17 @@ def point_subspace(v: GFVector) -> AffineSubspace:
     return AffineSubspace(n=n, d=n, normals=tuple(1 << i for i in range(n)), rhs=v.bits)
 
 
-def point_patterns(n: int) -> tuple[int, tuple[int, ...]]:
-    """(unit, coords) over the 2^n points, one bit per point: unit holds
-    every point and coords[c] the points with bit c set."""
-    unit = (1 << (1 << n)) - 1
-    return unit, tuple(unit // ((1 << (2 << c)) - 1) * ((1 << (1 << c)) - 1) << (1 << c) for c in range(n))
+def point_patterns(n: int, width: int = 1) -> tuple[int, tuple[int, ...]]:
+    """(unit, coords) over the 2^n points, one width-bit field each, point
+    0 lowest: unit is 1 in every field, coords[c] in those of the points
+    with bit c set.  Built by doubling, coordinate m being the new half."""
+    unit, coords = 1, []
+    for m in range(n):
+        shift = width << m
+        coords = [x | x << shift for x in coords]
+        coords.append(unit << shift)
+        unit |= unit << shift
+    return unit, tuple(coords)
 
 
 def indicator(normals: Sequence[int], rhs: int, unit: int, coords: Sequence[int]) -> int:

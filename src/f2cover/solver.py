@@ -34,7 +34,6 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 
 from .bounds import _closed_form_rules, _lo, exact_thm_a, lb_origin_exactly
@@ -91,11 +90,6 @@ def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
-def _every(step: int, width: int) -> int:
-    """Bits 0, step, 2*step, ... below width (a multiple of step)."""
-    return ((1 << width) - 1) // ((1 << step) - 1)
-
-
 def _ascending(classes: list[int]):
     """The set bits of each class in turn, lowest first, found lazily: a
     search that takes only the first candidate peels one 64-bit word."""
@@ -140,10 +134,10 @@ class _Search:
     few ints: lev[j-1] masks the points that still need at least j more
     copies (the origin sits at levels 1..s only, every other point at
     1..k), and the usable subset of the pool is one int.  Adding a member
-    with point mask M lowers each level j by the points of M whose need is
-    exactly j, with no per-point loop; undo is keeping the parent's ints.
-    run walks the tree in one loop, with the path on an explicit list, so
-    its cost does not depend on its caller's stack depth.  The branching
+    with point mask M drops from level j the points of M not on level j+1,
+    with no per-point loop; undo is keeping the parent's ints.  run walks
+    the tree in one loop, with the path on an explicit list, so its cost
+    does not depend on its caller's stack depth.  The branching
     rule is children(lev, usable) alone: a node branches on a top-level
     point with the fewest usable coverers, found per point at d=1 and by
     pick at d >= 2, and tries its candidates by descending score, the
@@ -204,7 +198,7 @@ class _Search:
         # system, and col packs those bytes one bit per system.  Repeated in
         # slabs[t], the slabs r with bit t of r clear, it gives the slab
         # swaps of the walk below.
-        lows = _every(16, S << 4)
+        lows = ((1 << (S << 4)) - 1) // 0xFFFF  # bit 0 of each 16-bit slot
         slabs = [sum(1 << r * S for r in range(1 << d) if not r >> t & 1) for t in range(d)]
         swaps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for t, column in enumerate(zip(*systems)):
@@ -384,16 +378,18 @@ class _Search:
         """Search origin count exactly s for covers of size <= limit; floor
         is a lower bound on them, so a cover of that size ends the run.
 
-        The node being expanded lives in locals: lev, its total need
-        def_total, size, usable, fresh and cands, the iterator of its
-        untried candidates.  Each candidate's child is checked inline (node
-        count, budget, bound, cover, levels, then children), so a leaf costs
-        no frame; only a child that branches pushes its parent's state on
-        stack.  When cands runs out the parent is popped and resumes.  The
-        first node is the empty multiset, whose one candidate is the root."""
+        The node being expanded lives in locals: lev, def_total (its total
+        need), usable, fresh and cands, the iterator of its untried
+        candidates.  Each candidate's child is checked inline (node count,
+        budget, bound, cover, levels, then children), so a leaf costs no
+        frame; a child that branches pushes (cands, lev, def_total, rest,
+        fresh, i), rest being the parent's usable less i's exclusion.  Each
+        placed member is a frame's i, so size is len(stack), and a cover
+        found is the path: best lists its members, one per copy.  The first
+        node is the empty multiset, whose one candidate is the root."""
         n, k, S = self.n, self.k, len(self.systems)
         self.s = s
-        self.best_mult: list[int] | None = None
+        self.best: list[int] | None = None
         dir_lb = _direction_lb_table(n, k, s) if self.d == 1 and n >= 2 else None
         masks = self.masks
         mult = self.mult = [0] * len(masks)
@@ -403,25 +399,25 @@ class _Search:
         cov, cov_shift = self.cov, self.cov_shift
         max_nodes, deadline = self.max_nodes, self.deadline
         children = self.children
+        all_points = (1 << self.npts) - 1
         usable = (1 << len(masks)) - 1
         if s == 0:
             usable &= ~origin_pool
         # d=1 systems are (1,), (2,), ..., so normal u is members u-1 (rhs 0)
         # and S+u-1 (rhs 1); with nothing placed V is {0}, so all are fresh
         fresh = (1 << len(masks)) - 1 if self.d == 1 else 0
-        lev = [(1 << self.npts) - 1] * s + [(1 << self.npts) - 2] * (k - s)
-        def_total, size, cands = k * (self.npts - 1) + s, 0, iter((self.root,))
+        lev = [all_points] * s + [all_points - 1] * (k - s)
+        def_total, cands = k * (self.npts - 1) + s, iter((self.root,))
         stack, nodes = [], self.nodes
-        dm = lev[0]
-        # exact[j]: the points whose need is exactly j+1; a member M takes
-        # M & exact[j] down from level j+1 to level j
-        exact = [D ^ E for D, E in zip(lev, lev[1:])] + [lev[-1]]
+        dm, size = lev[0], 0
         try:
             while True:
                 for i in cands:
                     is_fresh = fresh >> i & 1
                     if is_fresh and not usable >> i & 1:
                         continue  # its orbit's representative came first
+                    # exclusion: later siblings may not use member i, or its orbit
+                    rest = usable & ~(fresh & sides[i >= S] if is_fresh else 1 << i)
                     mult[i] += 1
                     # at d=1, members S + j and j are the two sides of one
                     # direction, avoiding the origin and through it; a table
@@ -442,22 +438,26 @@ class _Search:
                         if size + ((cdef + cov - 1) >> cov_shift) >= limit:
                             pass
                         elif not cdef:
-                            self.best_mult = list(mult)
+                            self.best = [f[-1] for f in stack] + [i]
                             # a cover at the root bound has no smaller rival at this s
                             if self.stop_at_first or size < floor:
                                 return
                             limit = size
                         else:
-                            # loops: a comprehension closes over what it
-                            # reads (Python 3.11), making M a cell variable
+                            # level j keeps a point of M only if it is on
+                            # level j+1; a loop, as a comprehension would make
+                            # keep a cell variable (Python 3.11)
+                            keep = all_points ^ M
                             clev = []
-                            for D, x in zip(lev, exact):
-                                clev.append(D ^ (M & x))
-                            if not clev[-1]:
-                                clev.pop()
+                            for D, E in zip(lev, lev[1:]):
+                                clev.append(D & (E | keep))
+                            top = lev[-1] & keep
+                            if top:
+                                clev.append(top)
                             # one member lowers a point's need by at most one
                             if size + len(clev) < limit:
-                                cusable = usable & ~origin_pool if M & exact[0] & 1 else usable
+                                # the origin left level 1: it is covered s times
+                                cusable = usable & ~origin_pool if (dm ^ clev[0]) & 1 else usable
                                 cfresh = fresh
                                 if is_fresh:
                                     # normal u joins V, and with it each u ^ v, v in V:
@@ -469,22 +469,20 @@ class _Search:
                                     cfresh = fresh & ~(spanned * (1 | 1 << S))
                                 grand = children(clev, cusable)
                                 if grand is not None:
-                                    stack.append((cands, lev, dm, exact, def_total, size,
-                                                  usable, fresh, i))
-                                    cands, lev, dm, def_total = grand, clev, clev[0], cdef
-                                    size, usable, fresh = size + 1, cusable, cfresh
-                                    exact = [D ^ E for D, E in zip(lev, lev[1:])] + [lev[-1]]
+                                    stack.append((cands, lev, def_total, rest, fresh, i))
+                                    cands, lev, def_total = grand, clev, cdef
+                                    usable, fresh = cusable, cfresh
+                                    dm, size = clev[0], len(stack)
                                     break
                     mult[i] -= 1
-                    # exclusion: later siblings may not use member i, or its orbit
-                    usable &= ~(fresh & sides[i >= S] if is_fresh else 1 << i)
+                    usable = rest
                 else:
                     if not stack:
                         return
                     # back to the parent, past its child i
-                    cands, lev, dm, exact, def_total, size, usable, fresh, i = stack.pop()
+                    cands, lev, def_total, usable, fresh, i = stack.pop()
                     mult[i] -= 1
-                    usable &= ~(fresh & sides[i >= S] if fresh >> i & 1 else 1 << i)
+                    dm, size = lev[0], len(stack)
         finally:
             self.nodes = nodes
 
@@ -555,9 +553,9 @@ def _best_seed(
 
 
 def _certificate(search: _Search) -> Cover:
-    """The best cover of the last run, re-verified; raises if the search was wrong."""
-    best = search.best_mult
-    C = Cover.from_entries((search.member(i), best[i]) for i in compress(range(len(best)), best))
+    """The best cover of the last run (its path, repeats merged), re-verified;
+    raises if the search was wrong."""
+    C = Cover.from_entries((search.member(i), 1) for i in search.best)
     report = verify(C, search.k)
     if not report.is_cover_for(search.k, search.s, search.s):
         raise AssertionError(
@@ -627,7 +625,7 @@ def _drive(
             search.run(s, limit, floor)
         except _BudgetExhausted:
             exhausted = False
-        if search is not None and search.best_mult is not None:
+        if search is not None and search.best is not None:
             best = _certificate(search)
             limit = best.size - 1
         if not exhausted or (deciding and best is not None):

@@ -19,6 +19,7 @@ from f2cover.gf2core import (
     linear_systems,
     ones_vector,
     point_mask,
+    point_patterns,
     point_subspace,
     subspace,
     subspace_from_json,
@@ -56,6 +57,17 @@ def test_point_subspace_is_single_point():
     assert S.d == 3
     assert list(solution_bits(S)) == [0b101]
     assert point_mask(S) == 1 << 0b101
+
+
+@pytest.mark.parametrize("width", [1, 32])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_point_patterns_match_a_per_point_build(n, width):
+    # field x of unit is 1, and field x of coords[c] is bit c of x
+    unit, coords = point_patterns(n, width)
+    assert unit == sum(1 << width * x for x in range(1 << n))
+    assert coords == tuple(
+        sum((x >> c & 1) << width * x for x in range(1 << n)) for c in range(n)
+    )
 
 
 def test_gaussian_binomial_known_values():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -402,18 +403,22 @@ def test_no_cover_is_recorded_over_the_limit(monkeypatch, args):
     # A leaf that completes a cover may record it only within the limit of
     # the moment, which is one below the last cover recorded, so the sizes
     # recorded strictly fall: a same-size sibling never replaces the first.
+    # Each cover recorded is the path: its members, one per copy placed,
+    # are the multiset mult of the moment.
     recorded = []
 
     class Recording(_Search):
         @property
-        def best_mult(self):
-            return self.__dict__["best_mult"]
+        def best(self):
+            return self.__dict__["best"]
 
-        @best_mult.setter
-        def best_mult(self, mult):
-            if mult is not None:
-                recorded.append(sum(mult))
-            self.__dict__["best_mult"] = mult
+        @best.setter
+        def best(self, best):
+            if best is not None:
+                assert Counter(best) == {i: m for i, m in enumerate(self.mult) if m}
+                assert len(best) == sum(self.mult)
+                recorded.append(len(best))
+            self.__dict__["best"] = best
 
     monkeypatch.setattr(solver_module, "_Search", Recording)
     result = solve_g(*args)
@@ -787,9 +792,7 @@ def test_certificate_check_survives_python_O():
         if __debug__:
             raise SystemExit("not running under -O")
         pool = enumerate_subspaces(3, 1)
-        wrong = SimpleNamespace(
-            member=pool.__getitem__, best_mult=[1] + [0] * (len(pool) - 1), k=2, s=1
-        )
+        wrong = SimpleNamespace(member=pool.__getitem__, best=[0], k=2, s=1)
         try:
             _certificate(wrong)
         except AssertionError:
