@@ -3,11 +3,14 @@
 The pool is every codimension-d affine subspace of F_2^n, numbered by
 construction coset-major: member r*S + j is coset rhs=r of the j-th of
 the S linear systems of gf2core.linear_systems, and only a certificate's
-members are ever built as AffineSubspace objects.  A search state is a
-multiset over the pool.  What the search reads of it is bit-sliced by
-need: one mask per level j of the points still needing at least j more
-copies, so placing a member is k mask operations, not a loop over its
-points.  A run is one loop over an explicit stack (_Search.run), and one
+members are ever built as AffineSubspace objects.  The index over the
+points is kept per system, not per member: for each point, the systems
+whose linear subspace holds it; the members through a point are built
+only when it is a branch point, except at d=1, where each node reads
+every deficient point's.  A search state is a multiset over the pool.
+What the search reads of it is bit-sliced by need: one mask per level j
+of the points still needing at least j more copies, so placing a member
+is k mask operations, not a loop over its points.  A run is one loop over an explicit stack (_Search.run), and one
 routine gives the branching rule (_Search.children): pick the worst
 uncovered point, try each of its usable coverers in turn, those through
 the most deficient points first, and forbid a tried coverer in the later
@@ -34,6 +37,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .bounds import _closed_form_rules, _lo, exact_thm_a, lb_origin_exactly
@@ -118,17 +122,55 @@ def _tally(xs, width: int) -> list[int]:
     return planes
 
 
+# The delta swaps that transpose the 8 x 8 bit matrix in every 64-bit word,
+# byte i bit c going to byte c bit i (Warren, Hacker's Delight, 7-3)
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _row_columns(systems: list[tuple[int, ...]], n: int) -> list[list[int]]:
+    """cols[t][c]: the systems whose row t has bit c, bit j for systems[j].
+
+    Row t of system j is little-endian 16-bit slot j*d + t of one packed
+    string (normals fit 16 bits under the index cap).  For each row byte,
+    its S bytes, one per system, make one int whose 64-bit words are 8
+    systems x 8 row bits; transposing every word at once puts bit c of 8
+    systems in byte c of the word, and the bytes c, c+8, ... are cols[t][c]."""
+    S, d = len(systems), len(systems[0])
+    packed = struct.pack(f"<{S * d}H", *chain.from_iterable(systems))
+    width = -(-S // 8) * 8
+    lanes = [(shift, int.from_bytes(lane.to_bytes(8, "little") * (width >> 3), "little"))
+             for shift, lane in _TRANSPOSE8]
+    cols = []
+    for t in range(d):
+        row = []
+        for low in range(0, n, 8):
+            x = int.from_bytes(packed[2 * t + (low >> 3)::2 * d], "little")
+            for shift, lane in lanes:
+                y = (x ^ x >> shift) & lane
+                x ^= y ^ y << shift
+            block = x.to_bytes(width, "little")
+            row += [int.from_bytes(block[c::8], "little") for c in range(min(8, n - low))]
+        cols.append(row)
+    return cols
+
+
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
     A call builds at most one of these.  With S = len(systems), member
     r*S + j is coset r of systems[j], and member(i) decodes it: the pool's
     bits are 2^d slabs of S bits, slab r holding coset r of every system.
-    Per point, the bit set of members through it is built once, by a
-    Gray-code walk over the points that swaps whole slabs' bits.  Its slab
-    0 is the set of systems whose linear subspace holds the point.  A
-    member's bit mask over the points is built on first use by mask(i);
-    masks[i] is 0 until then, as no member is empty.
+    The index is kept per system, S bits an entry: cols[t][c] holds the
+    systems whose row t has bit c (_row_columns), and kernel[x] the
+    systems whose linear subspace holds point x, built by a Gray-code walk
+    over the points with d running parity sets.  coverers[x], the members
+    through x, is built from the columns on first use by coverer(x), so at
+    d >= 2 only for branch points.  At d=1, where a node reads every
+    deficient point's, the whole table is built up front by doubling, and
+    kernel is that table: planes reads only slab 0.  A member's bit mask
+    over the points is built on first use by mask(i); masks[i] and
+    coverers[x] are 0 until built, as no member and no point's coverer set
+    is empty.
     run(s, limit, floor) searches origin count exactly s, and stops at a
     cover of size floor, the root bound at s.  A search state is a
     few ints: lev[j-1] masks the points that still need at least j more
@@ -177,12 +219,14 @@ class _Search:
         self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
-        # the coverer masks hold pool << n bits: the whole index but the
-        # member masks, which a search builds as it reads them
+        # masks, once all are built, and the d=1 coverer table each hold
+        # pool << n bits
         pool = count_subspaces(n, d)
         if pool << n > 1 << 32:
             raise ValueError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
         self.systems = systems = linear_systems(n, d)
+        if _past(deadline):
+            raise _BudgetExhausted
         S = len(systems)
         npts = 1 << n
         self.npts = npts
@@ -190,40 +234,33 @@ class _Search:
         # (mask), since a find-first run reads a handful
         self.patterns = point_patterns(n)
         self.masks = [0] * (S << d)
-        if _past(deadline):
-            raise _BudgetExhausted
-        # Bit c of row t of every system at once.  Row t of system j is
-        # little-endian 16-bit slot j of packed (the index cap keeps n <= 16);
-        # bit c of each slot goes to bit 0 of its low byte, one byte per
-        # system, and col packs those bytes one bit per system.  Repeated in
-        # slabs[t], the slabs r with bit t of r clear, it gives the slab
-        # swaps of the walk below.
-        lows = ((1 << (S << 4)) - 1) // 0xFFFF  # bit 0 of each 16-bit slot
-        slabs = [sum(1 << r * S for r in range(1 << d) if not r >> t & 1) for t in range(d)]
-        swaps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for t, column in enumerate(zip(*systems)):
-            packed = int.from_bytes(struct.pack(f"<{S}H", *column), "little")
-            for c in range(n):
-                bits = (packed >> c & lows).to_bytes(S << 1, "little")[::2]
-                col = sum(int.from_bytes(bits[o::8], "little") << o for o in range(8))
-                if col:
-                    swaps[c].append((S << t, col * slabs[t]))
         # Member r*S + j holds point p iff r = U_j p, bit t of r being row t
-        # of systems[j] dotted with p.  The origin lies in coset 0 of every
-        # system, slab 0; flipping bit c of p flips bit t of r in each system
-        # whose row t has bit c, which swaps those systems' bits between
-        # slabs r and r ^ (1 << t): one delta swap per row, in a Gray-code
-        # walk.
-        x = self.origin_pool = (1 << S) - 1
-        self.coverer_masks = [0] * npts
-        self.coverer_masks[0] = x
-        for g in range(1, npts):
-            if (g & 255) == 0 and _past(deadline):
-                raise _BudgetExhausted
-            for shift, lane in swaps[(g & -g).bit_length() - 1]:
-                y = (x >> shift ^ x) & lane
-                x ^= y | y << shift
-            self.coverer_masks[g ^ (g >> 1)] = x
+        # of systems[j] dotted with p; the origin lies in coset 0 of every
+        # system, slab 0.  Flipping bit c of p flips bit t of r in the
+        # systems of cols[t][c].
+        self.cols = cols = _row_columns(systems, n)
+        origin_pool = self.origin_pool = (1 << S) - 1
+        if d == 1:
+            # by doubling: flipping coordinate c swaps the two members of
+            # each normal with bit c
+            table = [origin_pool]
+            for col in cols[0]:
+                swap = col | col << S
+                table += [m ^ swap for m in table]
+            self.coverers = self.kernel = table
+        else:
+            # a Gray-code walk over the points: odd[t] holds the systems
+            # whose row t is odd at the point, the kernel those with none
+            odd = [0] * d
+            self.kernel = kernel = [origin_pool] * npts
+            for g in range(1, npts):
+                c = (g & -g).bit_length() - 1
+                anyodd = 0
+                for t, col in enumerate(cols):
+                    odd[t] ^= col[c]
+                    anyodd |= odd[t]
+                kernel[g ^ g >> 1] = origin_pool ^ anyodd
+            self.coverers = [0] * npts
         # Any valid cover owns an origin-avoiding member: all-through-origin
         # forces origin count == size <= k-1 < k, too few to cover any
         # nonzero point k times.  GL(n,2) is transitive on origin-avoiding
@@ -253,6 +290,21 @@ class _Search:
         m = self.masks[i] = indicator(self.systems[j], r, *self.patterns)
         return m
 
+    def coverer(self, p: int) -> int:
+        """The members through point p, built on first use and kept in
+        coverers[p]: slab r holds the systems whose rows' parities at p
+        spell r, split one row at a time from the columns."""
+        slabs = [self.origin_pool]
+        for col in self.cols:
+            odd = 0
+            for c in range(self.n):
+                if p >> c & 1:
+                    odd ^= col[c]
+            slabs = [m & ~odd for m in slabs] + [m & odd for m in slabs]
+        S = len(self.systems)
+        m = self.coverers[p] = sum(slab << r * S for r, slab in enumerate(slabs))
+        return m
+
     def through(self, j: int, p: int) -> int:
         """The member of systems[j] that holds point p."""
         r = sum(((u & p).bit_count() & 1) << t for t, u in enumerate(self.systems[j]))
@@ -263,10 +315,9 @@ class _Search:
         the systems in cs, one bit plane per score bit: bit j of planes[t]
         is bit t of the score of through(j, p).  That member holds point q
         iff every row of systems[j] vanishes at p ^ q, that is, iff bit j
-        of coverer_masks[p ^ q] is set, so each q of dm adds
-        coverer_masks[p ^ q] & cs."""
-        coverer_masks = self.coverer_masks
-        return _tally((coverer_masks[p ^ q] & cs for q in _ascending([dm])), self.score_bits)
+        of kernel[p ^ q] is set, so each q of dm adds kernel[p ^ q] & cs."""
+        kernel = self.kernel
+        return _tally((kernel[p ^ q] & cs for q in _ascending([dm])), self.score_bits)
 
     def ranked(self, p: int, cm: int, dm: int):
         """The members i of cm, all through point p, in the order of
@@ -327,7 +378,6 @@ class _Search:
         point of largest need (the top level) with the fewest usable
         coverers, lowest index on a tie.  Its candidates, the usable members
         through it, one per system, come by descending score."""
-        coverer_masks = self.coverer_masks
         dm = lev[0]
         top = lev[-1]
         if self.d > 1:
@@ -337,26 +387,27 @@ class _Search:
             branch_p = self.pick(dm, top, usable)
             if branch_p is None:
                 return None
-            return self.ranked(branch_p, coverer_masks[branch_p] & usable, dm)
+            cm = self.coverers[branch_p] or self.coverer(branch_p)
+            return self.ranked(branch_p, cm & usable, dm)
         # one pool-wide AND per deficient point, then one score per
         # candidate (at most 2^n - 1); ties by member index, so the
         # members through the origin (slab 0) come first, which cuts
         # prove's tree about 4x
-        masks = self.masks
+        masks, coverers = self.masks, self.coverers
         best_cnt = -1
         m = dm
         while m:
             b = m & -m
             m ^= b
             p = b.bit_length() - 1
-            c = coverer_masks[p] & usable
+            c = coverers[p] & usable
             if not c:
                 return None
             if b & top:
                 cnt = c.bit_count()
                 if best_cnt < 0 or cnt < best_cnt:
                     best_cnt, branch_p = cnt, p
-        cm = coverer_masks[branch_p] & usable
+        cm = coverers[branch_p] & usable
         cands = []
         # one 64-bit word at a time: peeling bits off the whole pool-wide
         # mask would copy it once per candidate; base is one below the

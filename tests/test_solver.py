@@ -20,7 +20,7 @@ import f2cover
 from f2cover.bounds import _closed_form_rules, _lo, g_smax_formula
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
-from f2cover.gf2core import AffineSubspace, enumerate_subspaces
+from f2cover.gf2core import AffineSubspace, enumerate_subspaces, linear_systems
 from f2cover import covers as covers_module
 from f2cover import solver as solver_module
 from f2cover.solver import (STATUSES, _BudgetExhausted, _direction_lb_table, _Search, decide,
@@ -274,9 +274,16 @@ def test_candidate_order_is_by_score_then_index(n, d):
     # coverers in the order sorted((-|masks[i] & dm|, j)), j the index of
     # member i's system at d >= 2 (bit planes) and i itself at d=1 (one by
     # one), or returns None when a deficient point has no usable coverer.
+    # The coverer sets here come from the member masks; at d >= 2 children
+    # builds a branch point's on first use, and each one kept must match.
     rng = random.Random(10 * n + d)
     search = _Search(n, 2, d, False, None, None)
-    masks, coverers = [search.mask(i) for i in range(len(search.masks))], search.coverer_masks
+    masks = [search.mask(i) for i in range(len(search.masks))]
+    coverers = [sum(1 << i for i, m in enumerate(masks) if m >> x & 1) for x in range(search.npts)]
+    if d == 1:
+        assert search.coverers == coverers
+    else:
+        assert not any(search.coverers)
     for _ in range(24):
         dm = sum(1 << p for p in rng.sample(range(search.npts), rng.randint(1, search.npts)))
         drawn = (1 << len(masks)) - 1
@@ -296,6 +303,8 @@ def test_candidate_order_is_by_score_then_index(n, d):
             for i in members
         )
         assert list(cands) == [i for *_, i in expected]
+    kept = [x for x, m in enumerate(search.coverers) if m]
+    assert kept and all(search.coverers[x] == coverers[x] for x in kept)
 
 
 def test_origin_cap_node_count_is_pinned():
@@ -514,30 +523,61 @@ INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), 
 def test_pool_index_matches_naive_incidence(n, d):
     search = _Search(n, 2, d, False, None, None)
     pool = sorted(enumerate_subspaces(n, d), key=lambda S: S.rhs)
+    nsys = len(search.systems)
     # certificates decode member indices through member(i)
     assert [search.member(i) for i in range(len(pool))] == pool
     assert pool[search.root] == AffineSubspace(n, d, tuple(1 << j for j in range(d)), 1)
-    members = [list(filter(S.contains_bits, range(1 << n))) for S in pool]
+    # x lies in the one coset of systems[j] whose rhs is the rows' parities
+    # at x: member r*S + j, r that parity vector.  through[x] holds bit i
+    # of coverers[x], member i contains x, as a '0'/'1' string (high bit last).
+    npts = 1 << n
+    odd = [x.bit_count() & 1 for x in range(npts)]
+    members = [[] for _ in pool]
+    through = [bytearray(b"0" * len(pool)) for _ in range(npts)]
+    for j, rows in enumerate(search.systems):
+        cosets = [0] * npts
+        for t, u in enumerate(rows):
+            cosets = [r | odd[u & x] << t for x, r in enumerate(cosets)]
+        for x, r in enumerate(cosets):
+            members[r * nsys + j].append(x)
+            through[x][r * nsys + j] = ord("1")
     assert [sorted(solution_bits(S)) for S in pool] == members
     assert [search.mask(i) for i in range(len(pool))] == [sum(1 << x for x in xs) for xs in members]
-    # coverer_masks[x] bit i: member i contains x (as a '0'/'1' string, high bit first)
-    through = [bytearray(b"0" * len(members)) for _ in range(1 << n)]
-    for i, xs in enumerate(members):
-        for x in xs:
-            through[x][i] = ord("1")
-    assert search.coverer_masks == [int(row[::-1], 2) for row in through]
+    # at d >= 2 each coverer set is built on first use and then kept
+    expected = [int(row[::-1], 2) for row in through]
+    if d > 1:
+        assert not any(search.coverers)
+        assert [search.coverer(x) for x in range(1 << n)] == expected
+    assert search.coverers == expected
 
 
 @pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (6, 3)])
 def test_kernel_entries_match_row_parity(n, d):
-    # slab 0 of coverer_masks[x], bit j: x lies in the linear subspace of
-    # systems[j], that is, every row of the system has even overlap with x
+    # kernel[x], bit j: x lies in the linear subspace of systems[j], that
+    # is, every row of the system has even overlap with x.  At d >= 2 that
+    # is all of kernel[x], S bits; at d=1 it is slab 0 of kernel[x], which
+    # is the full coverer table.
     search = _Search(n, 2, d, False, None, None)
     for x in range(1 << n):
         expected = sum(
             1 << j for j, rows in enumerate(search.systems) if not any(_parity(u & x) for u in rows)
         )
-        assert search.coverer_masks[x] & search.origin_pool == expected
+        assert search.kernel[x] & search.origin_pool == expected
+        assert search.kernel[x] == (expected if d > 1 else search.coverers[x])
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 3), (9, 2), (10, 1), (16, 1)])
+def test_row_columns_match_per_system_bit_reads(n, d):
+    # cols[t][c], bit j: row t of systems[j] has bit c.  (9, 2) and (10, 1)
+    # have rows over two bytes and S not a multiple of 8 (43,435 and 1,023
+    # systems); (16, 1) sets the top bit of the 16-bit slot.
+    systems = linear_systems(n, d)
+    cols = solver_module._row_columns(systems, n)
+    assert [len(row) for row in cols] == [n] * d
+    for t in range(d):
+        for c in range(n):
+            bits = "".join("1" if rows[t] >> c & 1 else "0" for rows in reversed(systems))
+            assert cols[t][c] == int(bits, 2), (t, c)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -683,7 +723,9 @@ def test_direction_table_matches_the_quadruple_loop():
 
 
 def test_time_budget_bounds_pool_build():
-    # a 173,740-subspace pool: the index build itself must watch the clock
+    # a 173,740-subspace pool whose index builds in a few hundredths of a
+    # second: the budget runs out in the search, whose loop reads the clock
+    # every 256 nodes, tens of thousands of nodes in
     start = time.monotonic()
     result = decide(9, 3, 2, 17, s=0, max_seconds=1)
     assert result.status == "unknown" and result.value is None
@@ -828,20 +870,25 @@ def test_pool_index_too_large_is_refused():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_gray_code_walk_watches_the_clock(monkeypatch):
-    # (10,10) is one linear system, so the system loop reads the clock
-    # once; any later read that stops the build is in the 1,024-point walk.
-    reads = []
+def test_deadline_during_linear_systems_builds_no_table(monkeypatch):
+    # The clock passes the deadline while the systems are enumerated: the
+    # check that follows stops the build before the row columns, and with
+    # them every per-point table, are made.
+    now = [0.0]
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    systems = solver_module.linear_systems
 
-    def clock():
-        reads.append(None)
-        return 0.0 if len(reads) == 1 else 2.0
+    def slow_systems(n, d):
+        now[0] = 2.0
+        return systems(n, d)
 
-    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(solver_module, "linear_systems", slow_systems)
+    monkeypatch.setattr(solver_module, "_row_columns", _no_pool)
     with pytest.raises(_BudgetExhausted):
-        _Search(10, 1, 10, False, 1.0, None)
-    assert len(reads) == 2
-
+        _Search(7, 3, 2, True, 1.0, None)
+    now[0] = 0.0
+    result = decide(7, 3, 2, 16, s=0, max_seconds=1.0)
+    assert (result.status, result.value, result.nodes) == ("unknown", None, 0)
 
 
 def _no_pool(*args):
