@@ -10,11 +10,12 @@ only when it is a branch point, except at d=1, where each node reads
 every deficient point's.  A search state is a multiset over the pool.
 What the search reads of it is bit-sliced by need: one mask per level j
 of the points still needing at least j more copies, so placing a member
-is k mask operations, not a loop over its points.  A run is one loop over an explicit stack (_Search.run), and one
-routine gives the branching rule (_Search.children): pick the worst
-uncovered point, try each of its usable coverers in turn, those through
-the most deficient points first, and forbid a tried coverer in the later
-siblings, so no multiset is reached twice.  At d=1 a node finds that
+is k mask operations, not a loop over its points.  A run is one loop
+over an explicit stack (_Search.run), and one routine gives the
+branching rule (_Search.children): pick the worst uncovered point, try
+each of its usable coverers in turn, those through the most deficient
+points first, and forbid a tried coverer in the later siblings, so no
+multiset is reached twice.  At d=1 a node finds that
 point per point and scores its few coverers one by one; at d >= 2 it
 finds the point over the 2^n points (_Search.pick) and scores all its
 coverers at once in bit planes one slab wide (_Search.ranked), listing
@@ -242,9 +243,12 @@ class _Search:
         origin_pool = self.origin_pool = (1 << S) - 1
         if d == 1:
             # by doubling: flipping coordinate c swaps the two members of
-            # each normal with bit c
+            # each normal with bit c.  At n = 15 the table is 256 MiB and
+            # takes tenths of a second, so no step starts past the deadline.
             table = [origin_pool]
             for col in cols[0]:
+                if _past(deadline):
+                    raise _BudgetExhausted
                 swap = col | col << S
                 table += [m ^ swap for m in table]
             self.coverers = self.kernel = table

@@ -870,6 +870,22 @@ def test_pool_index_too_large_is_refused():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_coverer_table_build_watches_the_clock(monkeypatch):
+    # The d=1 table doubles once per coordinate and reads the clock before
+    # each step; the first read, after the systems, is still in time, and
+    # the next stops the build.
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 2.0
+
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(_BudgetExhausted):
+        _Search(12, 1, 1, False, 1.0, None)
+    assert len(reads) == 2
+
+
 def test_deadline_during_linear_systems_builds_no_table(monkeypatch):
     # The clock passes the deadline while the systems are enumerated: the
     # check that follows stops the build before the row columns, and with
