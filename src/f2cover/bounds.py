@@ -55,22 +55,6 @@ def exact_thm_a(n: int, k: int, d: int) -> int | None:
     return (k << d) - (k >> (n - d))
 
 
-def bounds_thm_bc(n: int, k: int, d: int) -> tuple[int, int] | None:
-    """The general-position interval for f(n,k,d) when k >= 2.
-
-    hi is always n + 2^d k - d - 2.  lo matches hi for n exponentially
-    large, is the ceiling of n + 2^d k - d - log2(2k) in the intermediate
-    range n >= floor(log2 k) + d + 1, and falls back to the incidence
-    bound below that.  Returns None for k < 2.
-    """
-    _check_problem(n, None, d)
-    if k < 2:
-        return None
-    rule = _thm_bc_rule(n, k, d)
-    lo = lb_double_count(n, k, d) if rule is None else rule[2]
-    return lo, _linear_value(n, k, d)
-
-
 def _griesmer(n: int, delta: int) -> int:
     """Griesmer's bound sum_{i<n} ceil(delta / 2^i) on the length of a binary
     [N, n, >= delta] code (Griesmer, IBM J. Res. Dev. 4, 1960)."""
@@ -171,10 +155,6 @@ class Anchor:
             if self.hi is not None:
                 doc["hi"] = self.hi
         return doc
-
-
-def exact_anchor(n: int, k: int, d: int, value: int, source: str) -> Anchor:
-    return Anchor(n=n, k=k, d=d, lo=value, hi=value, source=source)
 
 
 def anchors_from_json(doc: dict) -> tuple[Anchor, ...]:
@@ -412,18 +392,6 @@ def propagate(
             hi_provenance=tuple(t for t, side, v in ordered if side != "lo" and v == final_hi),
         )
     return ledger
-
-
-def is_fixpoint(ledger: BoundLedger) -> bool:
-    """True when re-running propagation with the same anchors changes nothing."""
-    again = propagate(
-        n_max=ledger.n_range[1], k_max=ledger.k_range[1], d=ledger.d,
-        anchors=ledger.anchors,
-    )
-    return all(
-        (e.lo, e.hi) == (again.cells[key].lo, again.cells[key].hi)
-        for key, e in ledger.cells.items()
-    )
 
 
 @dataclass(frozen=True)

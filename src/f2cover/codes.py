@@ -37,14 +37,6 @@ class LinearCode:
             if not 0 <= u < (1 << self.dim):
                 raise ValueError(f"row {u:#x} wider than dimension {self.dim}")
 
-    def encode_bits(self, message: int) -> int:
-        """Codeword of a message as a length-bit mask (bit i from rows[i])."""
-        word = 0
-        for i, u in enumerate(self.rows):
-            if (message & u).bit_count() & 1:
-                word |= 1 << i
-        return word
-
     def to_json(self) -> dict:
         return {
             "version": CODE_FORMAT_VERSION,

@@ -22,7 +22,7 @@ from .gf2core import EMPTY, DEGENERATE, AffineSubspace, GFVector, _check_problem
 COVER_FORMAT_VERSION = 1
 
 TAG_NAMES = frozenset(
-    {"ThmA", "Lemma31", "ReduceD", "Lift", "SMax", "Diagonal", "GolayCover", "GVRandom", "ParallelPad"}
+    {"ThmA", "Lemma31", "ReduceD", "Lift", "SMax", "Diagonal", "GolayCover", "GVRandom"}
 )
 
 
@@ -154,13 +154,6 @@ class CoverReport:
 COUNT_LIMIT = (1 << 32) - 1
 
 
-def _check_counting(C: Cover) -> None:
-    if C.n > gf2core.DIMENSION_LIMIT:
-        raise ValueError(f"ambient dimension {C.n} above the point-loop limit {gf2core.DIMENSION_LIMIT}")
-    if C.size > COUNT_LIMIT:
-        raise ValueError(f"cover size {C.size} above the coverage count limit 2^32 - 1")
-
-
 # The 32-bit point patterns of _profile_bytes (gf2core.point_patterns),
 # kept per n up to PATTERN_CACHE_MAX_N: (n + 1) * 4 * 2^n bytes each,
 # 0.375 MiB for all n <= 12 together.  Larger n rebuild theirs on every
@@ -182,10 +175,12 @@ def _profile_bytes(C: Cover) -> bytes:
 
     An entry's points are gf2core.indicator over the 32-bit patterns of
     _patterns, so the profile is one multiply-add per entry.  No field
-    carries: no count passes C.size, which _check_counting caps at
-    COUNT_LIMIT.
+    carries: no count passes C.size, which is capped at COUNT_LIMIT.
     """
-    _check_counting(C)
+    if C.n > gf2core.DIMENSION_LIMIT:
+        raise ValueError(f"ambient dimension {C.n} above the point-loop limit {gf2core.DIMENSION_LIMIT}")
+    if C.size > COUNT_LIMIT:
+        raise ValueError(f"cover size {C.size} above the coverage count limit 2^32 - 1")
     unit, coords = _patterns(C.n)
     total = 0
     for S, mult in C.entries:
@@ -196,15 +191,6 @@ def _profile_bytes(C: Cover) -> bytes:
 def coverage_counts(C: Cover) -> list[int]:
     """Per-point coverage from packed 32-bit fields (see _profile_bytes)."""
     return list(struct.unpack(f"<{1 << C.n}I", _profile_bytes(C)))
-
-
-def coverage_counts_pointwise(C: Cover) -> list[int]:
-    """Per-point coverage, point-major; slower cross-check of coverage_counts."""
-    _check_counting(C)
-    return [
-        sum(mult for S, mult in C.entries if S.contains_bits(x))
-        for x in range(1 << C.n)
-    ]
 
 
 def verify(C: Cover, k: int = 1) -> CoverReport:

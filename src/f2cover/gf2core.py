@@ -79,9 +79,6 @@ class GFVector:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bit mask {self.bits:#x} has set bits at or past position {self.n}")
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
 
 def basis_vector(i: int, n: int) -> GFVector:
     """e_i, indexed from 1."""

@@ -158,36 +158,36 @@ def _row_columns(systems: list[tuple[int, ...]], n: int) -> list[list[int]]:
 class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
-    A call builds at most one of these.  With S = len(systems), member
-    r*S + j is coset r of systems[j], and member(i) decodes it: the pool's
-    bits are 2^d slabs of S bits, slab r holding coset r of every system.
-    The index is kept per system, S bits an entry: cols[t][c] holds the
-    systems whose row t has bit c (_row_columns), and kernel[x] the
-    systems whose linear subspace holds point x, built by a Gray-code walk
-    over the points with d running parity sets.  coverers[x], the members
-    through x, is built from the columns on first use by coverer(x), so at
-    d >= 2 only for branch points.  At d=1, where a node reads every
-    deficient point's, the whole table is built up front by doubling, and
-    kernel is that table: planes reads only slab 0.  A member's bit mask
-    over the points is built on first use by mask(i); masks[i] and
-    coverers[x] are 0 until built, as no member and no point's coverer set
-    is empty.
+    A call builds at most one of these, _Search(n, k, d, deadline,
+    max_nodes).  With S = len(systems), member r*S + j is coset r of
+    systems[j], and member(i) decodes it: the pool's bits are 2^d slabs of
+    S bits, slab r holding coset r of every system.  The index is kept per
+    system, S bits an entry: cols[t][c] holds the systems whose row t has
+    bit c (_row_columns), and at d >= 2 kernel[x] the systems whose linear
+    subspace holds point x, built by a Gray-code walk over the points with
+    d running parity sets.  coverers[x], the members through x, is built
+    from the columns on first use by coverer(x), so at d >= 2 only for
+    branch points.  At d=1, where a node reads every deficient point's,
+    the whole table is built up front by doubling, and there is no kernel:
+    planes runs only at d >= 2.  A member's bit mask over the points is
+    built on first use by mask(i); masks[i] and coverers[x] are 0 until
+    built, as no member and no point's coverer set is empty.
     run(s, limit, floor) searches origin count exactly s, and stops at a
-    cover of size floor, the root bound at s.  A search state is a
-    few ints: lev[j-1] masks the points that still need at least j more
-    copies (the origin sits at levels 1..s only, every other point at
-    1..k), and the usable subset of the pool is one int.  Adding a member
-    with point mask M drops from level j the points of M not on level j+1,
-    with no per-point loop; undo is keeping the parent's ints.  run walks
-    the tree in one loop, with the path on an explicit list, so its cost
-    does not depend on its caller's stack depth.  The branching
-    rule is children(lev, usable) alone: a node branches on a top-level
-    point with the fewest usable coverers, found per point at d=1 and by
-    pick at d >= 2, and tries its candidates by descending score, the
-    points of lev[0] a member covers.  On a tie the lowest system index
-    goes first at d >= 2 (ranked, in bit planes one slab wide), and the
-    lowest member index at d=1, so there the members through the origin
-    come first.
+    cover of size at most floor: the root bound at s when minimising, the
+    cap when deciding.  A search state is a few ints: lev[j-1] masks the
+    points that still need at least j more copies (the origin sits at
+    levels 1..s only, every other point at 1..k), and the usable subset of
+    the pool is one int.  Adding a member with point mask M drops from
+    level j the points of M not on level j+1, with no per-point loop; undo
+    is keeping the parent's ints.  run walks the tree in one loop, with
+    the path on an explicit list, so its cost does not depend on its
+    caller's stack depth.  The branching rule is children(lev, usable)
+    alone: a node branches on a top-level point with the fewest usable
+    coverers, found per point at d=1 and by pick at d >= 2, and tries its
+    candidates by descending score, the points of lev[0] a member covers.
+    On a tie the lowest system index goes first at d >= 2 (ranked, in bit
+    planes one slab wide), and the lowest member index at d=1, so there
+    the members through the origin come first.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
 
@@ -212,12 +212,10 @@ class _Search:
         n: int,
         k: int,
         d: int,
-        stop_at_first: bool,
         deadline: float | None,
         max_nodes: int | None,
     ):
         self.n, self.k, self.d = n, k, d
-        self.stop_at_first = stop_at_first
         self.deadline = deadline
         self.max_nodes = max_nodes
         # masks, once all are built, and the d=1 coverer table each hold
@@ -251,7 +249,7 @@ class _Search:
                     raise _BudgetExhausted
                 swap = col | col << S
                 table += [m ^ swap for m in table]
-            self.coverers = self.kernel = table
+            self.coverers = table
         else:
             # a Gray-code walk over the points: odd[t] holds the systems
             # whose row t is odd at the point, the kernel those with none
@@ -430,8 +428,9 @@ class _Search:
         return map(itemgetter(1), cands)
 
     def run(self, s: int, limit: int, floor: int) -> None:
-        """Search origin count exactly s for covers of size <= limit; floor
-        is a lower bound on them, so a cover of that size ends the run.
+        """Search origin count exactly s for covers of size <= limit.  floor
+        is the root bound at s when minimising and the cap when deciding; a
+        cover of size <= floor ends the run.
 
         The node being expanded lives in locals: lev, def_total (its total
         need), usable, fresh and cands, the iterator of its untried
@@ -494,8 +493,8 @@ class _Search:
                             pass
                         elif not cdef:
                             self.best = [f[-1] for f in stack] + [i]
-                            # a cover at the root bound has no smaller rival at this s
-                            if self.stop_at_first or size < floor:
+                            # within floor: no smaller rival at this s, or any will do
+                            if size < floor:
                                 return
                             limit = size
                         else:
@@ -676,8 +675,8 @@ def _drive(
             break
         try:
             if search is None:
-                search = _Search(n, k, d, deciding, deadline, max_nodes)
-            search.run(s, limit, floor)
+                search = _Search(n, k, d, deadline, max_nodes)
+            search.run(s, limit, limit if deciding else floor)
         except _BudgetExhausted:
             exhausted = False
         if search is not None and search.best is not None:

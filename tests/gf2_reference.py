@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from f2cover.codes import LinearCode
+from f2cover.covers import Cover
 from f2cover.gf2core import AffineSubspace
 
 
@@ -22,3 +24,20 @@ def solution_bits(S: AffineSubspace) -> list[int]:
             v = (1 << j) | sum(u & -u for u in S.normals if (u >> j) & 1)
             out += [x ^ v for x in out]
     return out
+
+
+def coverage_counts_pointwise(C: Cover) -> list[int]:
+    """Per-point coverage, point-major, one membership test per entry."""
+    return [
+        sum(mult for S, mult in C.entries if S.contains_bits(x))
+        for x in range(1 << C.n)
+    ]
+
+
+def encode_bits(code: LinearCode, message: int) -> int:
+    """Codeword of a message as a length-bit mask (bit i from rows[i])."""
+    word = 0
+    for i, u in enumerate(code.rows):
+        if (message & u).bit_count() & 1:
+            word |= 1 << i
+    return word

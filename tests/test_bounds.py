@@ -15,13 +15,10 @@ from f2cover.bounds import (
     ParameterError,
     all_points_value,
     anchors_from_json,
-    bounds_thm_bc,
     bundled_search_anchors,
-    exact_anchor,
     exact_thm_a,
     format_table,
     g_smax_formula,
-    is_fixpoint,
     jamison_value,
     lb_double_count,
     lb_g_restriction,
@@ -63,6 +60,18 @@ def hamming_ceil(n: int, k: int) -> int:
     return n + c
 
 
+def is_fixpoint(ledger: BoundLedger) -> bool:
+    """True when re-running propagation with the same anchors changes nothing."""
+    again = propagate(
+        n_max=ledger.n_range[1], k_max=ledger.k_range[1], d=ledger.d,
+        anchors=ledger.anchors,
+    )
+    return all(
+        (e.lo, e.hi) == (again.cells[key].lo, again.cells[key].hi)
+        for key, e in ledger.cells.items()
+    )
+
+
 def test_double_count_values():
     assert lb_double_count(4, 3, 1) == 6
     assert lb_double_count(3, 8, 1, s=0) == 14
@@ -81,13 +90,25 @@ def test_dense_regime_exact_value():
 
 
 def test_general_position_interval():
-    assert bounds_thm_bc(9, 3, 1) == (12, 12)   # huge-n regime pinches shut
-    assert bounds_thm_bc(5, 4, 1) == (9, 10)
-    assert bounds_thm_bc(4, 2, 1) == (5, 5)
-    assert bounds_thm_bc(5, 2, 1) == (6, 6)
-    assert bounds_thm_bc(2, 2, 1) == (3, 3)
-    assert bounds_thm_bc(6, 5, 1) == (12, 13)
-    assert bounds_thm_bc(3, 1, 1) is None
+    # Theorems B and C, with the incidence bound below Theorem C's range:
+    # the fold of those rows of the closed-form table, and the rows that
+    # set its ends.  At k = 1 neither theorem nor Lemma 3.1 has a row.
+    thm_bc = {"ThmB", "ThmC", "Construction(l31)"}
+    cases = {
+        (9, 3, 1): ((12, 12), {"ThmB", "Construction(l31)"}),  # huge n pinches shut
+        (5, 4, 1): ((9, 10), {"ThmC", "Construction(l31)"}),
+        (4, 2, 1): ((5, 5), {"ThmC", "Construction(l31)"}),
+        (5, 2, 1): ((6, 6), {"ThmB", "Construction(l31)"}),
+        (2, 2, 1): ((3, 3), {"DoubleCount", "Construction(l31)"}),
+        (6, 5, 1): ((12, 13), {"ThmC", "Construction(l31)"}),
+    }
+    for (n, k, d), (interval, tags) in cases.items():
+        rows = [r for r in _closed_form_rules(n, k, d) if r[0] in thm_bc | {"DoubleCount"}]
+        lo, hi = _fold(rows, 0, 1 << 30)
+        assert (lo, hi) == interval, (n, k, d)
+        ends = {t for t, side, v in rows if (side != "hi" and v == lo) or (side != "lo" and v == hi)}
+        assert ends == tags, (n, k, d)
+    assert thm_bc.isdisjoint(t for t, _, _ in _closed_form_rules(3, 1, 1))
 
 
 def test_hamming_packing_bound():
@@ -211,7 +232,7 @@ def test_misc_exact_values():
 
 
 def test_anchor_json_forms():
-    a = exact_anchor(5, 4, 1, 10, "search")
+    a = Anchor(n=5, k=4, d=1, lo=10, hi=10, source="search")
     assert a.to_json() == {"n": 5, "k": 4, "d": 1, "source": "search", "value": 10}
     b = Anchor(n=12, k=8, d=1, hi=24, source="golay")
     assert b.to_json() == {"n": 12, "k": 8, "d": 1, "source": "golay", "hi": 24}

@@ -20,7 +20,6 @@ from f2cover.covers import (
     add_parallel_pair,
     cover_from_json,
     coverage_counts,
-    coverage_counts_pointwise,
     restrict_to_hyperplane,
     restriction_census,
     verify,
@@ -33,6 +32,8 @@ from f2cover.gf2core import (
     enumerate_subspaces,
     hyperplane,
 )
+
+from gf2_reference import coverage_counts_pointwise
 
 
 def _entries(n, d, picks):
@@ -164,7 +165,7 @@ def test_counts_refuse_a_size_past_the_field_limit():
     assert verify(at_limit).max_nonzero == COUNT_LIMIT
     assert coverage_counts(at_limit) == [COUNT_LIMIT * ((b & 0b011).bit_count() % 2) for b in range(8)]
     over = Cover.from_entries([(H, COUNT_LIMIT), (hyperplane(GFVector(0b100, 3), 1), 1)])
-    for count in (verify, coverage_counts, coverage_counts_pointwise):
+    for count in (verify, coverage_counts):
         with pytest.raises(ValueError, match=r"2\^32 - 1"):
             count(over)
 

@@ -277,7 +277,7 @@ def test_candidate_order_is_by_score_then_index(n, d):
     # The coverer sets here come from the member masks; at d >= 2 children
     # builds a branch point's on first use, and each one kept must match.
     rng = random.Random(10 * n + d)
-    search = _Search(n, 2, d, False, None, None)
+    search = _Search(n, 2, d, None, None)
     masks = [search.mask(i) for i in range(len(search.masks))]
     coverers = [sum(1 << i for i, m in enumerate(masks) if m >> x & 1) for x in range(search.npts)]
     if d == 1:
@@ -521,7 +521,7 @@ INDEX_CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)] + [(7, 2), 
 
 @pytest.mark.parametrize("n,d", INDEX_CELLS)
 def test_pool_index_matches_naive_incidence(n, d):
-    search = _Search(n, 2, d, False, None, None)
+    search = _Search(n, 2, d, None, None)
     pool = sorted(enumerate_subspaces(n, d), key=lambda S: S.rhs)
     nsys = len(search.systems)
     # certificates decode member indices through member(i)
@@ -555,15 +555,18 @@ def test_pool_index_matches_naive_incidence(n, d):
 def test_kernel_entries_match_row_parity(n, d):
     # kernel[x], bit j: x lies in the linear subspace of systems[j], that
     # is, every row of the system has even overlap with x.  At d >= 2 that
-    # is all of kernel[x], S bits; at d=1 it is slab 0 of kernel[x], which
-    # is the full coverer table.
-    search = _Search(n, 2, d, False, None, None)
+    # is all of kernel[x], S bits; at d=1 there is no kernel, and slab 0 of
+    # the coverer table holds the same systems.
+    search = _Search(n, 2, d, None, None)
+    table = search.kernel if d > 1 else search.coverers
+    assert hasattr(search, "kernel") == (d > 1)
     for x in range(1 << n):
         expected = sum(
             1 << j for j, rows in enumerate(search.systems) if not any(_parity(u & x) for u in rows)
         )
-        assert search.kernel[x] & search.origin_pool == expected
-        assert search.kernel[x] == (expected if d > 1 else search.coverers[x])
+        assert table[x] & search.origin_pool == expected
+        if d > 1:
+            assert table[x] == expected
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (3, 3), (9, 2), (10, 1), (16, 1)])
@@ -588,7 +591,7 @@ def test_any_per_block_matches_a_per_block_any(d):
     rng = random.Random(d)
     width = 1 << d
     for n in (d + 1, d + 2):
-        search = _Search(n, 2, d, False, None, None)
+        search = _Search(n, 2, d, None, None)
         S = len(search.systems)
         assert len(search.masks) == width * S
         seen = []
@@ -617,9 +620,12 @@ def test_system_scores_match_member_masks(n, d):
     # ranked counts the smaller side: dm, or its complement when dm holds
     # more than half the points; fixed states sit on both sides of that
     # switch, with and without the origin in dm.  (6, 4) folds 16 slabs
-    # onto one.
+    # onto one.  The search runs planes only at d >= 2 and keeps no kernel
+    # at d=1; here the d=1 kernel is slab 0 of the coverer table.
     rng = random.Random(100 * n + d)
-    search = _Search(n, 2, d, False, None, None)
+    search = _Search(n, 2, d, None, None)
+    if d == 1:
+        search.kernel = [c & search.origin_pool for c in search.coverers]
     npts = search.npts
     pool = [search.member(i) for i in range(len(search.masks))]
     points = [sum(1 << x for x in range(npts) if S.contains_bits(x)) for S in pool]
@@ -668,7 +674,7 @@ def test_pick_matches_a_per_point_recount(n, d):
     # at s = 0 or once the origin is full, or partly usable.  Up to half
     # the pool is excluded besides.
     rng = random.Random(10 * n + d)
-    search = _Search(n, 3, d, False, None, None)
+    search = _Search(n, 3, d, None, None)
     npts, size = search.npts, len(search.masks)
     slab0 = search.origin_pool
     through = [[] for _ in range(npts)]
@@ -882,7 +888,7 @@ def test_coverer_table_build_watches_the_clock(monkeypatch):
 
     monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=clock))
     with pytest.raises(_BudgetExhausted):
-        _Search(12, 1, 1, False, 1.0, None)
+        _Search(12, 1, 1, 1.0, None)
     assert len(reads) == 2
 
 
@@ -901,7 +907,7 @@ def test_deadline_during_linear_systems_builds_no_table(monkeypatch):
     monkeypatch.setattr(solver_module, "linear_systems", slow_systems)
     monkeypatch.setattr(solver_module, "_row_columns", _no_pool)
     with pytest.raises(_BudgetExhausted):
-        _Search(7, 3, 2, True, 1.0, None)
+        _Search(7, 3, 2, 1.0, None)
     now[0] = 0.0
     result = decide(7, 3, 2, 16, s=0, max_seconds=1.0)
     assert (result.status, result.value, result.nodes) == ("unknown", None, 0)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -48,6 +50,23 @@ def test_all_names_exactly_the_public_bindings():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert sorted(f2cover.__all__) == sorted(bound)
+
+
+def test_reference_forks_stay_out_of_src():
+    # tests/gf2_reference.py holds the independent references the tests
+    # check the package against; none may drift back into the package, as
+    # a module function or as a method of one of its classes
+    path = Path(__file__).with_name("gf2_reference.py")
+    defined = {
+        node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)
+    }
+    found = []
+    for info in pkgutil.iter_modules(f2cover.__path__):
+        module = importlib.import_module(f"f2cover.{info.name}")
+        classes = [v for v in vars(module).values() if isinstance(v, type)]
+        for scope in [module, *classes]:
+            found += [f"{info.name}: {name}" for name in defined if hasattr(scope, name)]
+    assert defined and found == []
 
 
 def test_node_loop_holds_no_cell_variables():
