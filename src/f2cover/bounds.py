@@ -293,7 +293,7 @@ def _least_g_lo(n: int, k: int) -> int:
     return min(_lo(_closed_form_rules(n, k, 1, s)) for s in range(k))
 
 
-def lb_origin_exactly(n: int, k: int, d: int, origins: range) -> dict[int, int]:
+def lb_origin_exactly(n: int, k: int, d: int, origins: range | list[int]) -> dict[int, int]:
     """{s: lower bound on a (k,d)-cover of F_2^n with origin count exactly s}
     for s in origins: every f row and every g row at s."""
     f = _lo(_closed_form_rules(n, k, d))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .bounds import _closed_form_rules, _lo, exact_thm_a, lb_origin_exactly
+from .bounds import exact_thm_a, lb_origin_exactly
 from .codes import golay_cover
 from .constructions import _points_cover, diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, verify
@@ -546,21 +546,23 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     hyperplanes of one direction, minimized over extensions a' >= a, b' >= b.
 
     With a' one-side copies, the rest must cover that affine side fully,
-    so at least 2(k - a') more; with b' zero-side copies, the rest
-    restricts to the linear side as a (k - b')-cover, so at least the
-    closed-form lower bound for f(n-1, k - b') more.  b' stays at most the
-    origin count s <= k-1 because each zero-side copy goes through the
-    origin.  The minimum over the extensions is taken by suffix minima, in
-    a (k+2) x (k+2) table whose last row and column, like every b > s,
-    stay at a value no cover reaches.
+    so at least 2(k - a') more.  With b' zero-side copies, the rest
+    restricts to the linear side {u.x = 0}, a copy of F_2^(n-1), as a
+    (k - b')-cover whose origin is covered exactly s - b' times: each of
+    the s - b' other members through the origin meets that side in a
+    hyperplane through 0.  So the rest holds at least the exact-origin
+    lower bound for g(n-1, k - b'; s - b') more.  b' stays at most the
+    origin count s <= k-1 because each zero-side copy goes through it.  The minimum over the
+    extensions is taken by suffix minima, in a (k+2) x (k+2) table whose
+    last row and column, like every b > s, stay at a value no cover reaches.
     """
-    flo = [0] + [_lo(_closed_form_rules(n - 1, kp, 1)) for kp in range(1, k + 1)]
+    glo = [lb_origin_exactly(n - 1, k - b, 1, [s - b])[s - b] for b in range(s + 1)]
     never = 1 << 30
     table = [[never] * (k + 2) for _ in range(k + 2)]
     for a in range(k, -1, -1):
         row, below = table[a], table[a + 1]
         for b in range(s, -1, -1):
-            here = a + b + max(2 * (k - a), flo[k - b])
+            here = a + b + max(2 * (k - a), glo[b])
             row[b] = min(here, below[b], row[b + 1])
     return table
 

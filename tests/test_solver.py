@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import f2cover
-from f2cover.bounds import _closed_form_rules, _lo, g_smax_formula
+from f2cover.bounds import _closed_form_rules, _lo, g_smax_formula, lb_origin_exactly
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import AffineSubspace, enumerate_subspaces, linear_systems
@@ -214,7 +214,7 @@ def test_benchmark_node_counts_are_pinned():
     proofs = [
         decide(5, 4, 1, 9, s=0), solve_g(5, 3, 1, 0), solve_g(4, 5, 1, 2), solve_g(4, 6, 1, 1)
     ]
-    assert [r.nodes for r in proofs] == [533, 9, 2_643, 14_424]
+    assert [r.nodes for r in proofs] == [533, 9, 2_643, 5_198]
     witnesses = [
         decide(7, 3, 2, 16, s=0), decide(8, 3, 2, 18, s=0),
         decide(6, 3, 3, 25, s=0), decide(7, 3, 3, 27, s=0),
@@ -316,10 +316,12 @@ def test_origin_cap_node_count_is_pinned():
 def test_f651_node_count_is_pinned():
     # The largest d=1 proof in the suite; a change that raises this says why.
     result = solve_min(6, 5, 1)
-    assert (result.status, result.value, result.nodes) == ("optimal", 13, 627_171)
+    assert (result.status, result.value, result.nodes) == ("optimal", 13, 530_251)
 
 
 def test_code_length_row_never_exceeds_a_proved_g():
+    # also the exact-origin bound as a whole: the direction table at n+1
+    # prunes by these
     for n in range(1, 6):
         for k in range(1, 6):
             for s in range(k):
@@ -327,6 +329,7 @@ def test_code_length_row_never_exceeds_a_proved_g():
                 result = solve_g(n, k, 1, s)
                 assert result.status == "optimal" and row <= result.value, (n, k, s)
                 assert result.proof_lo >= row, (n, k, s)
+                assert lb_origin_exactly(n, k, 1, [s])[s] <= result.value, (n, k, s)
 
 
 @pytest.mark.parametrize(
@@ -711,21 +714,45 @@ def test_pick_matches_a_per_point_recount(n, d):
     assert {(gone, origin) for _, gone, origin in seen} >= {(False, True), (True, False)}
 
 
+def _quadruple_loop_table(k, s, rest):
+    """Entry (a0, b0): the plain minimum over every extension a' >= a0,
+    b' in [b0, s] of a' + b' + the bound on the rest, rest[b'] being the
+    bound its zero side gives."""
+    return [
+        [min((a + b + max(2 * (k - a), rest[b])
+              for a in range(a0, k + 1) for b in range(b0, s + 1)), default=1 << 30)
+         for b0 in range(k + 1)]
+        for a0 in range(k + 1)
+    ]
+
+
 def test_direction_table_matches_the_quadruple_loop():
     # The table is taken by suffix minima; each entry must be the plain
-    # minimum over every extension a' >= a, b' in [b, s] it stands for.
+    # minimum over every extension it stands for, the rest bounded at the
+    # exact origin count s - b' of its restriction.
+    for n in range(2, 9):
+        for k in range(1, 14):
+            for s in range(k):
+                glo = [lb_origin_exactly(n - 1, k - b, 1, [s - b])[s - b] for b in range(s + 1)]
+                table = _direction_lb_table(n, k, s)
+                assert [row[:k + 1] for row in table[:k + 1]] == _quadruple_loop_table(k, s, glo), (n, k, s)
+
+
+def test_direction_table_never_falls_below_the_f_rows():
+    # The f rows alone bound the rest by f(n-1, k - b'); the exact-origin
+    # reading takes their max with the g rows at s - b', so no entry falls.
     for n in range(2, 9):
         for k in range(1, 14):
             flo = [0] + [_lo(_closed_form_rules(n - 1, kp, 1)) for kp in range(1, k + 1)]
             for s in range(k):
-                expected = [
-                    [min((a + b + max(2 * (k - a), flo[k - b])
-                          for a in range(a0, k + 1) for b in range(b0, s + 1)), default=1 << 30)
-                     for b0 in range(k + 1)]
-                    for a0 in range(k + 1)
-                ]
+                f_rows = _quadruple_loop_table(k, s, [flo[k - b] for b in range(s + 1)])
                 table = _direction_lb_table(n, k, s)
-                assert [row[:k + 1] for row in table[:k + 1]] == expected, (n, k, s)
+                assert all(
+                    table[a][b] >= f_rows[a][b] for a in range(k + 1) for b in range(k + 1)
+                ), (n, k, s)
+    # one entry it raises: two one-side copies of g(4,6,1;1)'s direction
+    f_rows = _quadruple_loop_table(6, 1, [_lo(_closed_form_rules(3, kp, 1)) for kp in (6, 5)])
+    assert (f_rows[2][0], _direction_lb_table(4, 6, 1)[2][0]) == (12, 13)
 
 
 def test_time_budget_bounds_pool_build():

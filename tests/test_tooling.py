@@ -41,6 +41,20 @@ def test_src_imports_only_the_standard_library():
     assert found == []
 
 
+def test_solver_reads_bounds_through_public_names():
+    # the solver reads every lower bound through lb_origin_exactly and
+    # exact_thm_a, not through the rule rows behind them
+    path = Path(f2cover.__file__).with_name("solver.py")
+    found = [
+        f"{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "bounds"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_all_names_exactly_the_public_bindings():
     # a name dropped from the imports but left in __all__ would break
     # `from f2cover import *`; one bound but unlisted is not public
