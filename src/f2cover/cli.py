@@ -217,7 +217,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.rule is not None:
         rules = [r for r in rules if r[0] == args.rule]
         if not rules:
-            _say(f"rule {args.rule} not applicable at n={n} k={k} d={d}")
+            _say(f"rule {args.rule} not applicable at n={n} k={k} d={d}"
+                 + (f" s={args.s}" if args.s is not None else ""))
             return EXIT_NEGATIVE
     lo = max((v for _, side, v in rules if side in ("lo", "both")), default=None)
     hi = min((v for _, side, v in rules if side in ("hi", "both")), default=None)
@@ -252,6 +253,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _solver_kwargs(args: argparse.Namespace) -> dict:
+    """The solver's budgets and extra seed; also resolves --s-max to s = k-1."""
+    if args.s_max:
+        args.s = args.k - 1
     nodes, seconds = _budgets(args)
     extra = None
     if args.seed_cover is not None:
@@ -274,8 +278,6 @@ def _emit_solve(result, label: str, args: argparse.Namespace, minimising: bool) 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     kw = _solver_kwargs(args)
-    if args.s_max:
-        args.s = args.k - 1
     if args.s is not None:
         result = solve_g(args.n, args.k, args.d, args.s, **kw)
         label = f"g({args.n},{args.k},{args.d};{args.s})"
@@ -290,8 +292,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     kw = _solver_kwargs(args)
-    if args.s_max:
-        args.s = args.k - 1
     result = decide(args.n, args.k, args.d, args.size, s=args.s, **kw)
     label = f"exists size <= {args.size} at ({args.n},{args.k},{args.d})"
     return _emit_solve(result, label, args, minimising=False)
@@ -305,11 +305,25 @@ def _add_io(p: argparse.ArgumentParser, reads: bool = True) -> None:
                    help="output path (default stdout)")
 
 
-def _add_budgets(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser, decides: bool) -> None:
+    """The flags solve and decide share; decide adds --size, solve --assume-high-origin."""
+    p.add_argument("--n", type=_dimension, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=int, default=1)
+    if decides:
+        p.add_argument("--size", type=int, required=True)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--s", type=int, default=None, help="fix the origin count")
+    g.add_argument("--s-max", action="store_true", help="fix s = k-1")
+    if not decides:
+        g.add_argument("--assume-high-origin", action="store_true",
+                       help="restrict the window to s >= k-2")
     p.add_argument("--budget-nodes", type=int, default=None, metavar="N")
     p.add_argument("--budget-seconds", type=float, default=None, metavar="X")
     p.add_argument("--seed-cover", metavar="FILE", default=None,
                    help="extra seed cover JSON for the upper bound")
+    _add_io(p, reads=False)
+    p.set_defaults(func=_cmd_decide if decides else _cmd_solve)
 
 
 # parse_args keeps no state on the parser and looks up sys.stdout and
@@ -372,30 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, reads=False)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("solve", help="minimise cover size, exact branch and bound")
-    p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--s", type=int, default=None, help="fix the origin count")
-    g.add_argument("--s-max", action="store_true", help="fix s = k-1")
-    g.add_argument("--assume-high-origin", action="store_true",
-                   help="restrict the window to s >= k-2")
-    _add_budgets(p)
-    _add_io(p, reads=False)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("decide", help="does a cover of the given size exist")
-    p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--size", type=int, required=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--s", type=int, default=None, help="fix the origin count")
-    g.add_argument("--s-max", action="store_true", help="fix s = k-1")
-    _add_budgets(p)
-    _add_io(p, reads=False)
-    p.set_defaults(func=_cmd_decide)
+    _add_solver_flags(sub.add_parser(
+        "solve", help="minimise cover size, exact branch and bound"), decides=False)
+    _add_solver_flags(sub.add_parser(
+        "decide", help="does a cover of the given size exist"), decides=True)
 
     return parser
 

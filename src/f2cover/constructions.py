@@ -44,9 +44,6 @@ def _dense_d1(m: int, k: int) -> Cover:
     """Hyperplane (k,1)-cover of F_2^m of size 2k - floor(k / 2^(m-1)),
     for k >= 2^(m-2), the dense regime that thm_a_cover checks."""
     entries: list[tuple[AffineSubspace, int]] = []
-    if m == 1:
-        entries.append((hyperplane(basis_vector(1, 1), 1), k))
-        return Cover.from_entries(entries)
     half = 1 << (m - 1)
     if k >= half:
         copies, rest = divmod(k, half)

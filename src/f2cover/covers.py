@@ -250,23 +250,23 @@ def _restrict_rows(
     return gf2core._reduce_augmented(out, S.n - 1, S.d)
 
 
-def _classify(S: AffineSubspace, u: GFVector):
-    """One entry's fate under restriction to {x.u=0}.
+def _classify(S: AffineSubspace, u: GFVector) -> tuple[AffineSubspace, ...]:
+    """One entry's pieces under restriction to {x.u=0}.
 
-    Returns ('discard', ()) for subspaces missing the hyperplane,
-    ('split', (T0, T1)) for subspaces inside it, ('keep', (T,)) otherwise:
+    Returns () for subspaces missing the hyperplane (the discarded set X),
+    (T0, T1) for subspaces inside it (the split set Y), (T,) otherwise:
     inside {x.u=0}, S's own rows are inconsistent, of rank d-1, or of full
     rank in those three cases.  A split adds a row outside S's span, which
     restores rank d on either side.
     """
     T = _restrict_rows(S, u, None)
     if T is EMPTY:
-        return "discard", ()
+        return ()
     if T is DEGENERATE:
         # in reduced rows, e_j lies in their span iff it is a row; d < n leaves one out
         w = next(1 << j for j in range(S.n) if 1 << j not in S.normals)
-        return "split", tuple(_restrict_rows(S, u, (w, b)) for b in (0, 1))
-    return "keep", (T,)
+        return tuple(_restrict_rows(S, u, (w, b)) for b in (0, 1))
+    return (T,)
 
 
 def _check_restriction(C: Cover, u: GFVector) -> None:
@@ -286,8 +286,7 @@ def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:
     _check_restriction(C, u)
     out: list[tuple[AffineSubspace, int]] = []
     for S, mult in C.entries:
-        _, pieces = _classify(S, u)
-        out.extend((T, mult) for T in pieces)
+        out.extend((T, mult) for T in _classify(S, u))
     if not out:
         raise ValueError(f"the restriction to {{x.u=0}}, u={u.bits:#x}, is empty: "
                          "every entry misses the hyperplane")
@@ -297,11 +296,7 @@ def restrict_to_hyperplane(C: Cover, u: GFVector) -> Cover:
 def restriction_census(C: Cover, u: GFVector) -> tuple[int, int]:
     """Multiset sizes (|X|, |Y|) of discarded and split entries under u."""
     _check_restriction(C, u)
-    x_weight = y_weight = 0
+    weight = [0, 0, 0]  # by piece count: discarded, kept, split
     for S, mult in C.entries:
-        fate, _ = _classify(S, u)
-        if fate == "discard":
-            x_weight += mult
-        elif fate == "split":
-            y_weight += mult
-    return x_weight, y_weight
+        weight[len(_classify(S, u))] += mult
+    return weight[0], weight[2]

@@ -176,6 +176,11 @@ def test_bound_single_rule_and_not_applicable(capsys):
     doc, _ = _out(capsys)
     assert doc["rules"] == [{"tag": "ThmA", "side": "both", "value": 4}]
     assert run(["bound", "--n", "8", "--k", "2", "--rule", "ThmA"]) == 1
+    capsys.readouterr()
+    # with --s the rows searched are the g rows at s, and the message says which s
+    assert run(["bound", "--n", "3", "--k", "2", "--s", "1", "--rule", "ThmA"]) == 1
+    _, err = capsys.readouterr()
+    assert "not applicable at n=3 k=2 d=1 s=1" in err
 
 
 def test_bound_fixed_origin_rules(capsys):
@@ -240,6 +245,9 @@ def test_solve_fixed_origin_flags(capsys):
     assert run(["solve", "--n", "4", "--k", "2", "--s-max"]) == 0
     doc, _ = _out(capsys)
     assert doc["value"] == 6  # n + 2k - 2
+    # --s-max means --s k-1: the same document
+    assert run(["solve", "--n", "4", "--k", "2", "--s", "1"]) == 0
+    assert _out(capsys)[0] == doc
     assert run(["solve", "--n", "4", "--k", "2", "--s", "0"]) == 0
     doc, _ = _out(capsys)
     assert doc["value"] == 5
@@ -335,6 +343,9 @@ def test_decide_at_the_top_origin_count(capsys):
     assert run(["decide", "--n", "4", "--k", "2", "--size", "6", "--s-max"]) == 0
     doc, _ = _out(capsys)
     assert doc["status"] == "feasible" and doc["value"] == 6
+    # --s-max means --s k-1: the same document
+    assert run(["decide", "--n", "4", "--k", "2", "--size", "6", "--s", "1"]) == 0
+    assert _out(capsys)[0] == doc
     assert run(["decide", "--n", "4", "--k", "2", "--size", "5", "--s-max"]) == 1
     doc, _ = _out(capsys)
     assert doc["status"] == "infeasible"

@@ -39,6 +39,9 @@ def test_tag_json_roundtrip():
         (4, 4, 2, 15),    # 16 - 1
         (5, 4, 3, 31),    # 32 - floor(4/4)
         (4, 1, 3, 8),     # 8 - 0
+        (1, 4, 1, 4),     # n = d: k(2^d - 1), the m = 1 dense base
+        (2, 3, 2, 9),
+        (3, 1, 3, 7),
     ],
 )
 def test_thm_a_cover_sizes_and_validity(n, k, d, size):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -10,6 +11,7 @@ from pathlib import Path
 from types import ModuleType
 
 import f2cover
+from f2cover.cli import build_parser
 from f2cover.solver import _Search
 
 
@@ -89,3 +91,15 @@ def test_node_loop_holds_no_cell_variables():
     # indirectly at every node.
     assert _Search.run.__code__.co_cellvars == ()
     assert _Search.children.__code__.co_cellvars == ()
+
+
+def test_solve_and_decide_share_their_flags():
+    # solve and decide take one flag block; only decide's --size and
+    # solve's --assume-high-origin tell them apart
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def flags(name):
+        return {s for a in sub.choices[name]._actions for s in a.option_strings}
+
+    assert flags("solve") ^ flags("decide") == {"--size", "--assume-high-origin"}
+    assert {"--n", "--s-max", "--budget-nodes", "--seed-cover", "--out"} <= flags("solve")
