@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -405,12 +405,7 @@ class N0Report:
     n0_max: int | None = None
 
     def to_json(self) -> dict:
-        doc: dict = {"k": self.k, "status": self.status}
-        for key in ("n0", "n0_min", "n0_max"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def n0_report(k: int, ledger: BoundLedger) -> N0Report:

@@ -4,8 +4,8 @@ Machine output is JSON on stdout; the human summary is one line on stderr.
 Exit codes: 0 success or verified, 1 negative result (not a cover, refuted,
 rule not applicable) or malformed input document, 2 usage error (bad
 flags; n, k, d, s or size out of range; n above 20 for construct, solve
-and decide), 3 budget exhausted (solve then still emits the best cover it
-found).
+and decide; a solve or decide whose pool the solver refuses to build),
+3 budget exhausted (solve then still emits the best cover it found).
 
 Budget flags fall back to the environment: F2COVER_MAX_NODES and
 F2COVER_MAX_SECONDS apply to solve/decide when the flags are absent.  A
@@ -149,7 +149,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             C = lemma31_cover(args.n, args.k, args.d)
         else:
             C = smax_cover(args.n, args.k, args.d)
-    report = verify(C, max(args.k or 1, 1))
+    report = verify(C, args.k or 1)
     _emit(C.to_json(), args.out)
     _say(
         f"{family}: n={C.n} d={C.d} size={C.size} "

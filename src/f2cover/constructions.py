@@ -20,14 +20,14 @@ from .gf2core import point_subspace
 GV_MAX_TRIES = 200
 
 
-def _checked(C: Cover, k: int, tag: ConstructionTag, expect_size: int | None = None) -> Cover:
+def _checked(C: Cover, k: int, tag: ConstructionTag, expect_size: int) -> Cover:
     report = verify(C, k)
     if not report.is_cover_for(k):
         raise AssertionError(
             f"{tag.name} construction failed verification: min coverage "
             f"{report.min_nonzero}, origin {report.origin_count}, need k={k}"
         )
-    if expect_size is not None and C.size != expect_size:
+    if C.size != expect_size:
         raise AssertionError(f"{tag.name} construction has size {C.size}, expected {expect_size}")
     return C.with_tag(tag)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from . import gf2core
@@ -140,14 +140,7 @@ class CoverReport:
         return self.min_nonzero >= k and s_min <= self.origin_count <= s_max
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "origin_count": self.origin_count,
-            "min_nonzero": self.min_nonzero,
-            "max_nonzero": self.max_nonzero,
-            "profile_checksum": self.profile_checksum,
-        }
+        return asdict(self)
 
 
 # Coverage counts live in 32-bit fields of one int, one field per point.

@@ -305,11 +305,10 @@ def linear_systems(n: int, d: int) -> list[tuple[int, ...]]:
     SUBSPACE_ENUM_LIMIT.
     """
     _check_dim(n)
-    if not 1 <= d <= n:
-        raise ValueError(f"codimension {d} outside 1..{n}")
+    _check_problem(n, None, d)
     total = count_subspaces(n, d)
     if total > SUBSPACE_ENUM_LIMIT:
-        raise ValueError(
+        raise ParameterError(
             f"enumeration of {total} subspaces exceeds the limit of {SUBSPACE_ENUM_LIMIT}"
         )
     systems: list[tuple[int, ...]] = []

@@ -222,7 +222,7 @@ class _Search:
         # pool << n bits
         pool = count_subspaces(n, d)
         if pool << n > 1 << 32:
-            raise ValueError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
+            raise ParameterError(f"the index of {pool} subspaces over 2^{n} points would pass 512 MiB")
         self.systems = systems = linear_systems(n, d)
         if _past(deadline):
             raise _BudgetExhausted
@@ -396,34 +396,24 @@ class _Search:
         # members through the origin (slab 0) come first, which cuts
         # prove's tree about 4x
         masks, coverers = self.masks, self.coverers
-        best_cnt = -1
+        best_cnt = usable.bit_count() + 1
         m = dm
         while m:
             b = m & -m
             m ^= b
-            p = b.bit_length() - 1
-            c = coverers[p] & usable
+            c = coverers[b.bit_length() - 1] & usable
             if not c:
                 return None
             if b & top:
                 cnt = c.bit_count()
-                if best_cnt < 0 or cnt < best_cnt:
-                    best_cnt, branch_p = cnt, p
-        cm = coverers[branch_p] & usable
+                if cnt < best_cnt:
+                    best_cnt, cm = cnt, c
         cands = []
-        # one 64-bit word at a time: peeling bits off the whole pool-wide
-        # mask would copy it once per candidate; base is one below the
-        # pool index of the word's bit 0
-        base = -1
         while cm:
-            w = cm & 0xFFFF_FFFF_FFFF_FFFF
-            cm >>= 64
-            while w:
-                b = w & -w
-                i = b.bit_length() + base
-                w ^= b
-                cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
-            base += 64
+            b = cm & -cm
+            cm ^= b
+            i = b.bit_length() - 1
+            cands.append((-((masks[i] or self.mask(i)) & dm).bit_count(), i))
         cands.sort()
         return map(itemgetter(1), cands)
 

@@ -413,6 +413,17 @@ def test_dimension_above_the_cap_is_usage(capsys, argv):
     assert out == "" and "ambient dimension" in err
 
 
+@pytest.mark.parametrize("argv,limit", [
+    (["decide", "--n", "9", "--k", "3", "--d", "4", "--size", "60", "--s", "0"], "would pass 512 MiB"),
+    (["decide", "--n", "9", "--k", "3", "--d", "3", "--size", "40", "--s", "0"], "exceeds the limit of 2000000"),
+])
+def test_a_search_the_solver_refuses_is_usage(capsys, argv, limit):
+    # nothing was proved, so the exit is 2, not decide's infeasible 1
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and limit in err
+
+
 def test_bound_takes_any_dimension(capsys):
     # the closed forms hold for every n; Theorem C meets Lemma 3.1 here
     assert run(["bound", "--n", "30", "--k", "3"]) == 0

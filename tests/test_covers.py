@@ -262,6 +262,15 @@ def test_restriction_rejects_bad_normals():
         restrict_to_hyperplane(P, GFVector(1, 3))
 
 
+def test_parallel_pair_rejects_bad_covers_and_normals():
+    with pytest.raises(ValueError, match="d=1"):
+        add_parallel_pair(smax_cover(3, 2, 2), GFVector(1, 3))
+    C = smax_cover(3, 2, 1)
+    for u in (GFVector(0, 3), GFVector(1, 4)):
+        with pytest.raises(ValueError, match="nonzero vector of the ambient dimension"):
+            add_parallel_pair(C, u)
+
+
 def test_verify_rejects_bad_k():
     C = smax_cover(3, 2, 1)
     with pytest.raises(ValueError):

@@ -158,6 +158,16 @@ def test_canonicalize_sentinels():
     assert canonicalize([u, u], [1, 1]) is DEGENERATE
 
 
+def test_canonicalize_rejects_malformed_systems():
+    u = GFVector(0b01, 2)
+    with pytest.raises(ValueError, match="at least one"):
+        canonicalize([], [])
+    with pytest.raises(ValueError, match="mixed widths"):
+        canonicalize([u, GFVector(0b01, 3)], [0, 0])
+    with pytest.raises(ValueError, match="rhs length"):
+        canonicalize([u], [0, 1])
+
+
 @given(st.integers(2, 4), st.data())
 def test_canonical_form_is_stable_under_row_mixing(n, data):
     pool = enumerate_subspaces(n, 2)
@@ -193,3 +203,12 @@ def test_affine_subspace_validation():
         AffineSubspace(n=3, d=1, normals=(0,), rhs=0)
     with pytest.raises(ValueError):
         AffineSubspace(n=3, d=2, normals=(1,), rhs=0)
+    for d in (0, 4):
+        with pytest.raises(ValueError, match="codimension"):
+            AffineSubspace(n=3, d=d, normals=(1,) * d, rhs=0)
+    with pytest.raises(ValueError, match="rhs mask wider"):
+        AffineSubspace(n=3, d=1, normals=(1,), rhs=0b10)
+    with pytest.raises(ValueError, match="not ordered by pivot"):
+        AffineSubspace(n=3, d=2, normals=(2, 1), rhs=0)
+    with pytest.raises(ValueError, match="not in reduced row echelon"):
+        AffineSubspace(n=3, d=2, normals=(0b011, 0b010), rhs=0)

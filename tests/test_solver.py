@@ -268,7 +268,7 @@ def test_a_cover_at_the_root_bound_ends_the_run():
         assert report.is_cover_for(3) and report.origin_count == 0
 
 
-@pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (6, 3)])
+@pytest.mark.parametrize("n,d", [(4, 1), (7, 1), (5, 2), (6, 3)])
 def test_candidate_order_is_by_score_then_index(n, d):
     # At random node states children lists its branch point's usable
     # coverers in the order sorted((-|masks[i] & dm|, j)), j the index of

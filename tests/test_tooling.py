@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import f2cover
 from f2cover.cli import build_parser
 from f2cover.solver import _Search
@@ -103,3 +105,16 @@ def test_solve_and_decide_share_their_flags():
 
     assert flags("solve") ^ flags("decide") == {"--size", "--assume-high-origin"}
     assert {"--n", "--s-max", "--budget-nodes", "--seed-cover", "--out"} <= flags("solve")
+
+
+def test_src_parses_under_the_declared_python_floor():
+    # requires-python names the oldest interpreter the package supports;
+    # the suite itself may run on a newer one, so parse every module with
+    # that version's grammar
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    spec = tomllib.loads(pyproject.read_text())["project"]["requires-python"]
+    assert spec.startswith(">=")
+    floor = tuple(int(part) for part in spec[2:].split("."))
+    for path in sorted(Path(f2cover.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
