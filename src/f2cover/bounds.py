@@ -19,6 +19,8 @@ from importlib import resources
 
 from .gf2core import ParameterError, _check_problem, _json_int, _json_list
 
+LEDGER_FORMAT_VERSION = 1
+
 
 def _linear_value(n: int, k: int, d: int) -> int:
     """n + 2^d k - d - 2: the Lemma 3.1 size, met by f for n large enough."""
@@ -28,17 +30,6 @@ def _linear_value(n: int, k: int, d: int) -> int:
 def _thm_b_applies(n: int, k: int, d: int) -> bool:
     """Theorem B's exponentially large n."""
     return n > (1 << ((k << d) - d - k + 1))
-
-
-def _thm_bc_rule(n: int, k: int, d: int) -> tuple[str, str, int] | None:
-    """The Theorem B or C row for k >= 2; None below Theorem C's range."""
-    if _thm_b_applies(n, k, d):
-        return "ThmB", "both", _linear_value(n, k, d)
-    log_k = k.bit_length() - 1
-    if n >= log_k + d + 1:
-        # ceil(x - log2(2k)) for integer x, exact in integers
-        return "ThmC", "lo", n + (k << d) - d - 1 - log_k
-    return None
 
 
 def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
@@ -158,6 +149,8 @@ class Anchor:
 
 
 def anchors_from_json(doc: dict) -> tuple[Anchor, ...]:
+    if doc.get("version", LEDGER_FORMAT_VERSION) != LEDGER_FORMAT_VERSION:
+        raise ValueError(f"unsupported anchor document version {doc.get('version')!r}")
     out = []
     for item in _json_list(doc, "anchors"):
         if "value" in item:
@@ -165,10 +158,13 @@ def anchors_from_json(doc: dict) -> tuple[Anchor, ...]:
         else:
             lo = _json_int(item, "lo") if "lo" in item else None
             hi = _json_int(item, "hi") if "hi" in item else None
+        source = item.get("source", "anchor")
+        if type(source) is not str:
+            raise ValueError(f"'source' must be a string, got {source!r}")
         out.append(
             Anchor(
                 n=_json_int(item, "n"), k=_json_int(item, "k"), d=_json_int(item, "d"),
-                lo=lo, hi=hi, source=str(item.get("source", "anchor")),
+                lo=lo, hi=hi, source=source,
             )
         )
     return tuple(out)
@@ -227,7 +223,7 @@ class BoundLedger:
 
     def to_json(self) -> dict:
         return {
-            "version": 1,
+            "version": LEDGER_FORMAT_VERSION,
             "d": self.d,
             "n_range": list(self.n_range),
             "k_range": list(self.k_range),
@@ -272,9 +268,12 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
         rules.append(("Anchor(allpoints)", "both", all_points_value(n, k)))
     if k >= 2:
         rules.append(("Construction(l31)", "hi", _linear_value(n, k, d)))
-        bc = _thm_bc_rule(n, k, d)
-        if bc is not None:
-            rules.append(bc)
+        log_k = k.bit_length() - 1
+        if _thm_b_applies(n, k, d):
+            rules.append(("ThmB", "both", _linear_value(n, k, d)))
+        elif n >= log_k + d + 1:
+            # ceil(x - log2(2k)) for integer x, exact in integers
+            rules.append(("ThmC", "lo", n + (k << d) - d - 1 - log_k))
     rules.append(("Construction(smax)", "hi", g_smax_formula(n, k, d)))
     if d == 1 and n == k and k >= 4:
         rules.append(("Construction(diag)", "hi", 3 * k - 4))
@@ -325,19 +324,19 @@ def propagate(
     if n_max < d or k_max < 1:
         raise ParameterError(f"empty rectangle: n_max={n_max}, k_max={k_max}, d={d}")
     cells = [(n, k) for n in range(d, n_max + 1) for k in range(1, k_max + 1)]
-    rows = {(n, k): _closed_form_rules(n, k, d) for n, k in cells}
-    n_closed = {cell: len(r) for cell, r in rows.items()}  # anchor rows follow
+    closed = {(n, k): _closed_form_rules(n, k, d) for n, k in cells}
+    pinned = {cell: [] for cell in cells}
     for a in anchors:
-        if a.d == d and (a.n, a.k) in rows:
+        if a.d == d and (a.n, a.k) in pinned:
             tag = f"Anchor({a.source})"
-            rows[(a.n, a.k)] += [
+            pinned[(a.n, a.k)] += [
                 (tag, side, v) for side, v in (("lo", a.lo), ("hi", a.hi)) if v is not None
             ]
     lo: dict[tuple[int, int], int] = {}
     hi: dict[tuple[int, int], int] = {}
     for n, k in cells:
         # slack start; smax tightens immediately
-        lo[(n, k)], hi[(n, k)] = _fold(rows[(n, k)], 0, n + (k << d))
+        lo[(n, k)], hi[(n, k)] = _fold(closed[(n, k)] + pinned[(n, k)], 0, n + (k << d))
 
     def relational(n: int, k: int) -> list[tuple[str, str, int]]:
         out: list[tuple[str, str, int]] = []
@@ -384,8 +383,7 @@ def propagate(
     for n, k in cells:
         final_lo, final_hi = lo[(n, k)], hi[(n, k)]
         # provenance order: closed-form tags, recursion tags, anchor tags
-        m = n_closed[(n, k)]
-        ordered = rows[(n, k)][:m] + relational(n, k) + rows[(n, k)][m:]
+        ordered = closed[(n, k)] + relational(n, k) + pinned[(n, k)]
         ledger.cells[(n, k, d)] = BoundEntry(
             n=n, k=k, d=d, lo=final_lo, hi=final_hi,
             lo_provenance=tuple(t for t, side, v in ordered if side != "hi" and v == final_lo),
@@ -416,6 +414,8 @@ def n0_report(k: int, ledger: BoundLedger) -> N0Report:
     the least such n determines the threshold when the cell just below is
     known to fall strictly short.
     """
+    if not ledger.k_range[0] <= k <= ledger.k_range[1]:
+        raise ValueError(f"k={k} outside the ledger's k_range {ledger.k_range}")
     d = ledger.d
     n_lo, n_hi = ledger.n_range
     target = lambda n: _linear_value(n, k, d)

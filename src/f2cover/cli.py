@@ -125,6 +125,9 @@ def _budgets(args: argparse.Namespace) -> tuple[int | None, float | None]:
     return nodes, seconds
 
 
+_FAMILIES = {"thma": thm_a_cover, "l31": lemma31_cover, "smax": smax_cover}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
     _require(args.seed is None or family == "gv", "--seed is for --family gv only")
@@ -143,12 +146,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                  f"--family {family} needs --n and --k")
         if family == "gv":
             C = gv_random_cover(args.n, args.k, seed=args.seed or 0)
-        elif family == "thma":
-            C = thm_a_cover(args.n, args.k, args.d)
-        elif family == "l31":
-            C = lemma31_cover(args.n, args.k, args.d)
         else:
-            C = smax_cover(args.n, args.k, args.d)
+            C = _FAMILIES[family](args.n, args.k, args.d)
     report = verify(C, args.k or 1)
     _emit(C.to_json(), args.out)
     _say(
@@ -213,12 +212,12 @@ def _cmd_code(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     n, k, d = args.n, args.k, args.d
     _check_problem(n, k, d, args.s)
+    cell = f"n={n} k={k} d={d}" + (f" s={args.s}" if args.s is not None else "")
     rules = _closed_form_rules(n, k, d, args.s)
     if args.rule is not None:
         rules = [r for r in rules if r[0] == args.rule]
         if not rules:
-            _say(f"rule {args.rule} not applicable at n={n} k={k} d={d}"
-                 + (f" s={args.s}" if args.s is not None else ""))
+            _say(f"rule {args.rule} not applicable at {cell}")
             return EXIT_NEGATIVE
     lo = max((v for _, side, v in rules if side in ("lo", "both")), default=None)
     hi = min((v for _, side, v in rules if side in ("hi", "both")), default=None)
@@ -230,8 +229,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.s is not None:
         doc["s"] = args.s
     _emit(doc, args.out)
-    _say(f"n={n} k={k} d={d}" + (f" s={args.s}" if args.s is not None else "")
-         + f": lo={lo} hi={hi}")
+    _say(f"{cell}: lo={lo} hi={hi}")
     return EXIT_OK
 
 
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a named construction as cover JSON")
     p.add_argument("--family", required=True,
-                   choices=("thma", "l31", "smax", "diag", "gv", "golay"))
+                   choices=(*_FAMILIES, "diag", "gv", "golay"))
     p.add_argument("--n", type=_dimension, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=1)

@@ -82,7 +82,7 @@ class Cover:
             merged[S] = merged.get(S, 0) + mult
         if n is None:
             raise ValueError("a cover needs at least one subspace")
-        # one (n, d) and masks below 2^24: the canonical_bytes order
+        # one (n, d): the canonical (normals, rhs) tuple order
         ordered = tuple(sorted(merged.items(), key=lambda item: (item[0].normals, item[0].rhs)))
         return cls(n=n, d=d, entries=ordered, tag=tag)
 

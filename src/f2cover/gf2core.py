@@ -144,20 +144,6 @@ class AffineSubspace:
             if (u & seen) != (u & -u):
                 raise ValueError("system not in reduced row echelon form")
 
-    def contains_bits(self, x: int) -> bool:
-        rhs = self.rhs
-        for i, u in enumerate(self.normals):
-            if ((x & u).bit_count() ^ (rhs >> i)) & 1:
-                return False
-        return True
-
-    def canonical_bytes(self) -> bytes:
-        """Stable byte encoding; lexicographic order on these is the canonical subspace order."""
-        parts = [self.n.to_bytes(1, "big"), self.d.to_bytes(1, "big")]
-        parts += [u.to_bytes(3, "big") for u in self.normals]
-        parts.append(self.rhs.to_bytes(3, "big"))
-        return b"".join(parts)
-
     def to_json(self) -> dict:
         return {
             "normals": [f"{u:#x}" for u in self.normals],
@@ -322,7 +308,7 @@ def linear_systems(n: int, d: int) -> list[tuple[int, ...]]:
                     row += [u | 1 << j for u in row]
             choices.append(row)
         systems += product(*choices)
-    # Normals fit in 3 bytes, so int tuple order is canonical_bytes order.
+    # the canonical order is (normals, rhs) tuple order
     systems.sort()
     return systems
 

@@ -1,36 +1,13 @@
 """Depth-first branch-and-bound for minimum multiplicity covers.
 
-The pool is every codimension-d affine subspace of F_2^n, numbered by
-construction coset-major: member r*S + j is coset rhs=r of the j-th of
-the S linear systems of gf2core.linear_systems, and only a certificate's
-members are ever built as AffineSubspace objects.  The index over the
-points is kept per system, not per member: for each point, the systems
-whose linear subspace holds it; the members through a point are built
-only when it is a branch point, except at d=1, where each node reads
-every deficient point's.  A search state is a multiset over the pool.
-What the search reads of it is bit-sliced by need: one mask per level j
-of the points still needing at least j more copies, so placing a member
-is k mask operations, not a loop over its points.  A run is one loop
-over an explicit stack (_Search.run), and one routine gives the
-branching rule (_Search.children): pick the worst uncovered point, try
-each of its usable coverers in turn, those through the most deficient
-points first, and forbid a tried coverer in the later siblings, so no
-multiset is reached twice.  At d=1 a node finds that
-point per point and scores its few coverers one by one; at d >= 2 it
-finds the point over the 2^n points (_Search.pick) and scores all its
-coverers at once in bit planes one slab wide (_Search.ranked), listing
-them lazily.  A run ends at a cover whose size meets the root bound for
-its origin count, since none smaller exists; at d=1 that bound counts
-the length of the binary code the cover's origin-avoiding members form
-(CodeLength in bounds._closed_form_rules).  At d=1 only the first fresh
-coverer (normal outside the span of those placed) of each rhs is tried:
-the maps fixing the node make the others equivalent (orbital branching,
-see _Search).  Closed forms and the construction families shortcut the
-search whenever the root bounds already meet, so real branching only
-happens on cells where exhaustive search is the only known proof.
-
-f(n,k,d) is the least g(n,k,d;s) over the origin counts s in [0, k-1],
-so every call searches its origin window one exact count s at a time.
+decide, solve_g and solve_min each return a SolveResult.  f(n,k,d) is the
+least g(n,k,d;s) over the origin counts s in [0, k-1], so every call
+searches its origin window one exact count s at a time, one _Search.run
+per s over one pool index; the _Search docstring describes the search.
+Closed forms and the construction families shortcut the search whenever
+the root bounds already meet (a root closure builds no pool), so real
+branching only happens on cells where exhaustive search is the only known
+proof.  Every certificate is verified again before a call returns it.
 """
 
 from __future__ import annotations
@@ -159,35 +136,42 @@ class _Search:
     """The pool index of one solver call, searched one origin count per run.
 
     A call builds at most one of these, _Search(n, k, d, deadline,
-    max_nodes).  With S = len(systems), member r*S + j is coset r of
-    systems[j], and member(i) decodes it: the pool's bits are 2^d slabs of
-    S bits, slab r holding coset r of every system.  The index is kept per
-    system, S bits an entry: cols[t][c] holds the systems whose row t has
-    bit c (_row_columns), and at d >= 2 kernel[x] the systems whose linear
-    subspace holds point x, built by a Gray-code walk over the points with
-    d running parity sets.  coverers[x], the members through x, is built
-    from the columns on first use by coverer(x), so at d >= 2 only for
-    branch points.  At d=1, where a node reads every deficient point's,
-    the whole table is built up front by doubling, and there is no kernel:
-    planes runs only at d >= 2.  A member's bit mask over the points is
-    built on first use by mask(i); masks[i] and coverers[x] are 0 until
-    built, as no member and no point's coverer set is empty.
+    max_nodes).  The pool is every codimension-d affine subspace of F_2^n,
+    numbered coset-major: with S = len(systems), the systems of
+    gf2core.linear_systems, member r*S + j is coset r of systems[j], and
+    member(i) decodes it, so only a certificate's members are ever built as
+    AffineSubspace objects.  The pool's bits are 2^d slabs of S bits, slab r
+    holding coset r of every system.  The index is kept per system, S bits
+    an entry: cols[t][c] holds the systems whose row t has bit c
+    (_row_columns), and at d >= 2 kernel[x] the systems whose linear
+    subspace holds point x, built by a Gray-code walk over the points with d
+    running parity sets.  coverers[x], the members through x, is built from
+    the columns on first use by coverer(x), so at d >= 2 only for branch
+    points.  At d=1, where a node reads every deficient point's, the whole
+    table is built up front by doubling, and there is no kernel: planes runs
+    only at d >= 2.  A member's bit mask over the points is built on first
+    use by mask(i); masks[i] and coverers[x] are 0 until built, as no member
+    and no point's coverer set is empty.
     run(s, limit, floor) searches origin count exactly s, and stops at a
-    cover of size at most floor: the root bound at s when minimising, the
-    cap when deciding.  A search state is a few ints: lev[j-1] masks the
-    points that still need at least j more copies (the origin sits at
-    levels 1..s only, every other point at 1..k), and the usable subset of
-    the pool is one int.  Adding a member with point mask M drops from
-    level j the points of M not on level j+1, with no per-point loop; undo
-    is keeping the parent's ints.  run walks the tree in one loop, with
-    the path on an explicit list, so its cost does not depend on its
-    caller's stack depth.  The branching rule is children(lev, usable)
-    alone: a node branches on a top-level point with the fewest usable
-    coverers, found per point at d=1 and by pick at d >= 2, and tries its
-    candidates by descending score, the points of lev[0] a member covers.
-    On a tie the lowest system index goes first at d >= 2 (ranked, in bit
-    planes one slab wide), and the lowest member index at d=1, so there
-    the members through the origin come first.
+    cover of size at most floor: the root bound at s when minimising, since
+    none smaller exists, and the cap when deciding.  At d=1 that root bound
+    counts the length of the binary code the cover's origin-avoiding members
+    form (CodeLength in bounds._closed_form_rules).  A search state is a few
+    ints: lev[j-1] masks the points that still need at least j more copies
+    (the origin sits at levels 1..s only, every other point at 1..k), and
+    the usable subset of the pool is one int.  Adding a member with point
+    mask M drops from level j the points of M not on level j+1, with no
+    per-point loop; undo is keeping the parent's ints.  run walks the tree
+    in one loop, with the path on an explicit list, so its cost does not
+    depend on its caller's stack depth.  The branching rule is children(lev,
+    usable) alone: a node branches on a top-level point with the fewest
+    usable coverers, found per point at d=1 and by pick at d >= 2, and tries
+    its candidates by descending score, the points of lev[0] a member
+    covers, and drops a tried candidate from its later siblings' usable
+    members, so no multiset is reached twice.  On a tie the lowest system
+    index goes first at d >= 2 (ranked, in bit planes one slab wide), and
+    the lowest member index at d=1, so there the members through the origin
+    come first.
     nodes counts across runs, so max_nodes bounds the whole call.  A pool
     whose index would pass 512 MiB is refused before anything is built.
 

@@ -7,6 +7,22 @@ from f2cover.covers import Cover
 from f2cover.gf2core import AffineSubspace
 
 
+def contains_bits(S: AffineSubspace, x: int) -> bool:
+    """Whether the point x (a bit mask) solves every row of S."""
+    for i, u in enumerate(S.normals):
+        if ((x & u).bit_count() ^ (S.rhs >> i)) & 1:
+            return False
+    return True
+
+
+def canonical_bytes(S: AffineSubspace) -> bytes:
+    """Stable byte encoding; lexicographic order on these is the canonical subspace order."""
+    parts = [S.n.to_bytes(1, "big"), S.d.to_bytes(1, "big")]
+    parts += [u.to_bytes(3, "big") for u in S.normals]
+    parts.append(S.rhs.to_bytes(3, "big"))
+    return b"".join(parts)
+
+
 def solution_bits(S: AffineSubspace) -> list[int]:
     """All 2^(n-d) solutions of S as raw bit masks.
 
@@ -29,7 +45,7 @@ def solution_bits(S: AffineSubspace) -> list[int]:
 def coverage_counts_pointwise(C: Cover) -> list[int]:
     """Per-point coverage, point-major, one membership test per entry."""
     return [
-        sum(mult for S, mult in C.entries if S.contains_bits(x))
+        sum(mult for S, mult in C.entries if contains_bits(S, x))
         for x in range(1 << C.n)
     ]
 

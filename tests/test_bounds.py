@@ -238,6 +238,12 @@ def test_anchor_json_forms():
     assert b.to_json() == {"n": 12, "k": 8, "d": 1, "source": "golay", "hi": 24}
     back = anchors_from_json({"anchors": [a.to_json(), b.to_json()]})
     assert back == (a, b)
+    # a lo alone, and a lo below its hi, keep their own keys
+    c = Anchor(n=6, k=8, d=1, lo=17, source="x")
+    assert c.to_json() == {"n": 6, "k": 8, "d": 1, "source": "x", "lo": 17}
+    e = Anchor(n=6, k=8, d=1, lo=17, hi=18, source="x")
+    assert e.to_json() == {"n": 6, "k": 8, "d": 1, "source": "x", "lo": 17, "hi": 18}
+    assert anchors_from_json({"anchors": [c.to_json(), e.to_json()]}) == (c, e)
     with pytest.raises(ValueError):
         Anchor(n=3, k=2, d=1)
 
@@ -374,6 +380,13 @@ def test_n0_reports_from_full_ledger():
     assert n0_report(5, led).n0 == 6
     r8 = n0_report(8, led)
     assert r8.status == "at_least" and r8.n0_min == 13
+
+
+@pytest.mark.parametrize("k", [0, 20])
+def test_n0_report_refuses_a_k_outside_the_ledger(k):
+    # the ledger holds no cell of column k, so it answers nothing about it
+    with pytest.raises(ValueError, match=r"k_range \(1, 5\)"):
+        n0_report(k, propagate(8, 5, 1))
 
 
 @pytest.mark.parametrize(

@@ -465,6 +465,11 @@ _VERIFY = ["verify", "--k", "1", "--in"]
         (_VERIFY, {**_line(2), "tag": 5}, "malformed document"),
         (["table", "--nmax", "3", "--kmax", "3", "--anchors"], {"anchors": 5},
          "'anchors' must be a list"),
+        (["table", "--nmax", "3", "--kmax", "3", "--anchors"], {"version": 99, "anchors": []},
+         "unsupported anchor document version 99"),
+        (["table", "--nmax", "3", "--kmax", "3", "--anchors"],
+         {"anchors": [{"n": 3, "k": 2, "d": 1, "value": 5, "source": None}]},
+         "'source' must be a string"),
         (_VERIFY,
          {**_line(2), "entries": [{"subspace": {"normals": "0x1", "rhs": "0b1", "n": 2}, "mult": 1}]},
          "'normals' must be a list"),
@@ -474,7 +479,8 @@ _VERIFY = ["verify", "--k", "1", "--in"]
         (_VERIFY, _line(0), "ambient dimension 0 outside 1..24"),
         (_VERIFY, _COORDINATES_21, "ambient dimension 21 above the point-loop limit 20"),
     ],
-    ids=["list", "entries", "tag", "anchors", "normals", "mult0", "mult-2", "n25", "n0", "n21"],
+    ids=["list", "entries", "tag", "anchors", "anchor-version", "anchor-source", "normals",
+         "mult0", "mult-2", "n25", "n0", "n21"],
 )
 def test_documents_of_the_wrong_shape_are_negative(tmp_path, capsys, argv, doc, message):
     # A wrong JSON type anywhere in a document is one error line and exit 1,

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from f2cover import constructions as constructions_module
 from f2cover.constructions import (
+    GV_MAX_TRIES,
     ConstructionTag,
     _points_cover,
     diagonal_cover,
@@ -144,6 +147,24 @@ def test_gv_random_cover_is_seed_deterministic(n, k, seed):
 def test_gv_random_cover_varies_with_seed():
     draws = {gv_random_cover(5, 3, seed=s).entries for s in range(6)}
     assert len(draws) > 1
+
+
+def test_gv_random_cover_grows_then_gives_up(monkeypatch):
+    # every GV_MAX_TRIES // 4 failed draws the sample grows by one member,
+    # and after GV_MAX_TRIES the sampler refuses
+    sizes = []
+
+    def never_covers(C, k):
+        sizes.append(C.size)
+        return SimpleNamespace(is_cover_for=lambda k: False)
+
+    monkeypatch.setattr(constructions_module, "verify", never_covers)
+    with pytest.raises(RuntimeError, match="try another seed$"):
+        gv_random_cover(3, 2, seed=0)
+    m = 3 + 3  # n + ceil((k-1) log2(2n))
+    block = GV_MAX_TRIES // 4
+    assert block == 50
+    assert sizes == [m] * block + [m + 1] * block + [m + 2] * block + [m + 3] * block
 
 
 def test_gv_multiplicity_below_one_is_a_parameter_error():

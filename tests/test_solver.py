@@ -25,7 +25,7 @@ from f2cover import covers as covers_module
 from f2cover import solver as solver_module
 from f2cover.solver import (STATUSES, _BudgetExhausted, _direction_lb_table, _Search, decide,
                             solve_g, solve_min)
-from gf2_reference import solution_bits
+from gf2_reference import contains_bits, solution_bits
 
 
 def brute_min(n, k, d, s_min=0, s_max=None):
@@ -631,7 +631,7 @@ def test_system_scores_match_member_masks(n, d):
         search.kernel = [c & search.origin_pool for c in search.coverers]
     npts = search.npts
     pool = [search.member(i) for i in range(len(search.masks))]
-    points = [sum(1 << x for x in range(npts) if S.contains_bits(x)) for S in pool]
+    points = [sum(1 << x for x in range(npts) if contains_bits(S, x)) for S in pool]
     index = {rows: j for j, rows in enumerate(search.systems)}
     nsys = len(search.systems)
     counted = []

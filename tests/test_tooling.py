@@ -5,7 +5,11 @@ from __future__ import annotations
 import argparse
 import ast
 import importlib
+import io
+import json
 import pkgutil
+import re
+import shlex
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -13,7 +17,7 @@ from types import ModuleType
 import pytest
 
 import f2cover
-from f2cover.cli import build_parser
+from f2cover.cli import build_parser, run
 from f2cover.solver import _Search
 
 
@@ -118,3 +122,30 @@ def test_src_parses_under_the_declared_python_floor():
     floor = tuple(int(part) for part in spec[2:].split("."))
     for path in sorted(Path(f2cover.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_readme_examples_run(monkeypatch, capsys):
+    # the README's python block runs as written, and each f2cover line of
+    # its command block exits as its comment says, pipes feeding stdin
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w+)\n(.*?)^```", readme, re.M | re.S)
+    (python,) = [text for lang, text in blocks if lang == "python"]
+    exec(python, {})
+    capsys.readouterr()
+    (commands,) = [text for lang, text in blocks if lang == "sh" and "f2cover " in text]
+    lines = [line for line in commands.splitlines() if line.startswith("f2cover ")]
+    assert len(lines) == 6
+    for line in lines:
+        pipeline, _, comment = line.partition("#")
+        out = ""
+        codes = []
+        for stage in pipeline.split("|"):
+            argv = shlex.split(stage)
+            assert argv[0] == "f2cover"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            codes.append(run(argv[1:]))
+            out = capsys.readouterr().out
+        assert codes == [0] * (len(codes) - 1) + [1 if "exit 1" in comment else 0], line
+        if argv[1:] == ["solve", "--n", "5", "--k", "4"]:
+            doc = json.loads(out)
+            assert (doc["value"], doc["nodes"]) == (10, 533)
