@@ -28,8 +28,8 @@ def _linear_value(n: int, k: int, d: int) -> int:
 
 
 def _thm_b_applies(n: int, k: int, d: int) -> bool:
-    """Theorem B's exponentially large n."""
-    return n > (1 << ((k << d) - d - k + 1))
+    """Theorem B's exponentially large n > 2^(2^d k - d - k + 1), by bit length."""
+    return (n - 1).bit_length() > (k << d) - d - k + 1
 
 
 def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
@@ -41,7 +41,7 @@ def lb_double_count(n: int, k: int, d: int, s: int = 0) -> int:
 def exact_thm_a(n: int, k: int, d: int) -> int | None:
     """f(n,k,d) in the dense regime k >= 2^(n-d-1); None outside it."""
     _check_problem(n, k, d)
-    if n - d - 1 >= 0 and k < (1 << (n - d - 1)):
+    if k.bit_length() <= n - d - 1:
         return None
     return (k << d) - (k >> (n - d))
 
@@ -49,7 +49,8 @@ def exact_thm_a(n: int, k: int, d: int) -> int | None:
 def _griesmer(n: int, delta: int) -> int:
     """Griesmer's bound sum_{i<n} ceil(delta / 2^i) on the length of a binary
     [N, n, >= delta] code (Griesmer, IBM J. Res. Dev. 4, 1960)."""
-    return sum(-(-delta >> i) for i in range(n))
+    head = min(n, (delta - 1).bit_length())  # each later term is 1
+    return sum(-(-delta >> i) for i in range(head)) + n - head
 
 
 def _sphere_packing(n: int, delta: int, start: int | None = None) -> int:
@@ -235,8 +236,8 @@ class BoundLedger:
 def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     """Per-cell (tag, side, value) rows; side is 'lo', 'hi', or 'both'.
 
-    The rows bound f(n,k,d), or g(n,k,d;s) when s is given.  The ledger,
-    the solver's root bounds and the `bound` command all read this table.
+    The rows bound f(n,k,d), or g(n,k,d;s) when s is given.  The ledger
+    and the `bound` command read them, and the solver reads lb_g.
 
     CodeLength, at d=1: let a cover of size N hold s members through the
     origin (B) and N-s avoiding it (A).  A nonzero x lies in wt_A(x) members
@@ -245,19 +246,11 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     an injective linear map onto a binary [N-s, n, >= k-s] code (the code
     codes.code_from_cover builds), and N >= s + the Griesmer and
     sphere-packing lengths of such a code.  The row is not monotone in s
-    (at (5,4,1) it reads 9, 10, 8, 8 for s = 0..3).  The f table takes the
-    least over s of the g rows at s, since f is the least g.
+    (at (5,4,1) it reads 9, 10, 8, 8 for s = 0..3).  As f is the least g,
+    the f rows take the g rows' least, and the g rows take f's lo as AtLeastF.
     """
     if s is not None:
-        rules = [
-            ("DoubleCount", "lo", lb_double_count(n, k, d, s)),
-            ("RestrictionDescent", "lo", lb_g_restriction(n, k, d, s)),
-        ]
-        if s == k - 1:
-            rules.append(("GSmax", "both", g_smax_formula(n, k, d)))
-        if d == 1:
-            rules.append(("CodeLength", "lo", s + _code_length(n, k - s)))
-        return rules
+        return _g_rows(n, k, d, s) + [("AtLeastF", "lo", _lo(_closed_form_rules(n, k, d)))]
     rules = [("DoubleCount", "lo", lb_double_count(n, k, d))]
     a = exact_thm_a(n, k, d)
     if a is not None:
@@ -278,7 +271,20 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     if d == 1 and n == k and k >= 4:
         rules.append(("Construction(diag)", "hi", 3 * k - 4))
     if d == 1:
-        rules.append(("CodeLength", "lo", _least_g_lo(n, k)))
+        rules.append(("CodeLength", "lo", min(_g_pass(n, k, 1))))
+    return rules
+
+
+def _g_rows(n: int, k: int, d: int, s: int):
+    """The rows that bound g(n,k,d;s) on their own, without AtLeastF."""
+    rules = [
+        ("DoubleCount", "lo", lb_double_count(n, k, d, s)),
+        ("RestrictionDescent", "lo", lb_g_restriction(n, k, d, s)),
+    ]
+    if s == k - 1:
+        rules.append(("GSmax", "both", g_smax_formula(n, k, d)))
+    if d == 1:
+        rules.append(("CodeLength", "lo", s + _code_length(n, k - s)))
     return rules
 
 
@@ -287,16 +293,16 @@ def _lo(rows) -> int:
 
 
 @lru_cache(maxsize=1 << 12)
-def _least_g_lo(n: int, k: int) -> int:
-    """The least over s of the g(n,k,1;s) rows' lower bound, a bound on f."""
-    return min(_lo(_closed_form_rules(n, k, 1, s)) for s in range(k))
+def _g_pass(n: int, k: int, d: int) -> tuple[int, ...]:
+    """The g rows' lo at each s: lb_g's pass, whose least is f's CodeLength."""
+    return tuple(_lo(_g_rows(n, k, d, s)) for s in range(k))
 
 
-def lb_origin_exactly(n: int, k: int, d: int, origins: range | list[int]) -> dict[int, int]:
-    """{s: lower bound on a (k,d)-cover of F_2^n with origin count exactly s}
-    for s in origins: every f row and every g row at s."""
+@lru_cache(maxsize=1 << 12)
+def lb_g(n: int, k: int, d: int) -> tuple[int, ...]:
+    """Entry s: the lower bound on g(n,k,d;s) that `bound --s` prints."""
     f = _lo(_closed_form_rules(n, k, d))
-    return {s: max(f, _lo(_closed_form_rules(n, k, d, s))) for s in origins}
+    return tuple(max(f, g) for g in _g_pass(n, k, d))
 
 
 def _fold(rows, lo: int, hi: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .bounds import exact_thm_a, lb_origin_exactly
+from .bounds import exact_thm_a, lb_g
 from .codes import golay_cover
 from .constructions import _points_cover, diagonal_cover, lemma31_cover, smax_cover, thm_a_cover
 from .covers import Cover, verify
@@ -156,7 +156,7 @@ class _Search:
     cover of size at most floor: the root bound at s when minimising, since
     none smaller exists, and the cap when deciding.  At d=1 that root bound
     counts the length of the binary code the cover's origin-avoiding members
-    form (CodeLength in bounds._closed_form_rules).  A search state is a few
+    form (the CodeLength row behind bounds.lb_g).  A search state is a few
     ints: lev[j-1] masks the points that still need at least j more copies
     (the origin sits at levels 1..s only, every other point at 1..k), and
     the usable subset of the pool is one int.  Adding a member with point
@@ -524,13 +524,13 @@ def _direction_lb_table(n: int, k: int, s: int) -> list[list[int]]:
     restricts to the linear side {u.x = 0}, a copy of F_2^(n-1), as a
     (k - b')-cover whose origin is covered exactly s - b' times: each of
     the s - b' other members through the origin meets that side in a
-    hyperplane through 0.  So the rest holds at least the exact-origin
-    lower bound for g(n-1, k - b'; s - b') more.  b' stays at most the
-    origin count s <= k-1 because each zero-side copy goes through it.  The minimum over the
-    extensions is taken by suffix minima, in a (k+2) x (k+2) table whose
-    last row and column, like every b > s, stay at a value no cover reaches.
+    hyperplane through 0.  So the rest holds at least lb_g(n-1, k - b', 1)
+    at s - b' more.  b' stays at most the origin count s <= k-1 because each
+    zero-side copy goes through it.  The minimum over the extensions is taken
+    by suffix minima, in a (k+2) x (k+2) table whose last row and column,
+    like every b > s, stay at a value no cover reaches.
     """
-    glo = [lb_origin_exactly(n - 1, k - b, 1, [s - b])[s - b] for b in range(s + 1)]
+    glo = [lb_g(n - 1, k - b, 1)[s - b] for b in range(s + 1)]
     never = 1 << 30
     table = [[never] * (k + 2) for _ in range(k + 2)]
     for a in range(k, -1, -1):
@@ -619,8 +619,8 @@ def _drive(
     """Common engine: cap=None minimises, cap=m decides existence at size <= m."""
     s_min, s_max, assumptions = window
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    floors = lb_origin_exactly(n, k, d, range(s_min, s_max + 1))
-    lo = min(floors.values())
+    floors = lb_g(n, k, d)
+    lo = min(floors[s_min:s_max + 1])
     seed = _best_seed(n, k, d, s_min, s_max, extra_seed, deadline)
     deciding = cap is not None
     if deciding and seed is not None and seed.size <= cap:

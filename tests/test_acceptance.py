@@ -21,7 +21,7 @@ from f2cover.bounds import (
     format_table,
     g_smax_formula,
     lb_double_count,
-    lb_origin_exactly,
+    lb_g,
     n0_report,
     origin_mult_floor,
     propagate,
@@ -240,7 +240,7 @@ def test_bound_rules_are_consistent():
                     assert max(los) <= min(his), (n, k, d, rules)
                     # the solver's root bound at the origin counts of the
                     # smax, Lemma 3.1 and diagonal covers: k-1, k-2, k-4
-                    root = lb_origin_exactly(n, k, d, range(k))
+                    root = lb_g(n, k, d)
                     assert root[k - 1] <= g_smax_formula(n, k, d), (n, k, d)
                     if k >= 2:
                         assert root[k - 2] <= n + (k << d) - d - 2, (n, k, d)

@@ -21,12 +21,13 @@ from f2cover.bounds import (
     g_smax_formula,
     jamison_value,
     lb_double_count,
+    lb_g,
     lb_g_restriction,
     n0_report,
     origin_mult_floor,
     propagate,
 )
-from f2cover.bounds import _closed_form_rules, _code_length, _fold, _griesmer, _sphere_packing
+from f2cover.bounds import _closed_form_rules, _code_length, _fold, _griesmer, _lo, _sphere_packing
 
 
 def lb_hamming_s0(n: int, k: int) -> Fraction:
@@ -188,6 +189,17 @@ def test_code_length_row_is_not_monotone_in_s():
     assert [v for r in rows for tag, side, v in r if tag == "CodeLength"] == [9, 10, 8, 8]
     assert all(side == "lo" for r in rows for tag, side, _ in r if tag == "CodeLength")
     assert not any(tag == "CodeLength" for tag, _, _ in _closed_form_rules(5, 4, 2, 1))
+
+
+def test_f_is_the_least_g():
+    # the f rows' lower bound is the table's least entry, and entry s is
+    # the lo of the g rows at s, AtLeastF among them
+    for d in range(1, 4):
+        for n in range(d, 13):
+            for k in range(1, 17):
+                table = lb_g(n, k, d)
+                assert min(table) == _lo(_closed_form_rules(n, k, d)), (n, k, d)
+                assert list(table) == [_lo(_closed_form_rules(n, k, d, s)) for s in range(k)]
 
 
 def test_code_length_pins_f_12_4_without_anchors():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from f2cover.bounds import bundled_search_anchors
 from f2cover.cli import build_parser, run
 from f2cover.constructions import gv_random_cover
+from f2cover.solver import solve_g
 
 
 def _out(capsys):
@@ -193,8 +195,44 @@ def test_bound_fixed_origin_rules(capsys):
     doc, _ = _out(capsys)
     assert {"tag": "CodeLength", "side": "lo", "value": 10} in doc["rules"]
     assert (doc["lo"], doc["s"]) == (10, 1)
+    # g(5,5,1;1) is at least f(5,5,1): the AtLeastF row lifts lo to the
+    # solver's root floor
+    assert run(["bound", "--n", "5", "--k", "5", "--s", "1"]) == 0
+    doc, _ = _out(capsys)
+    assert {"tag": "AtLeastF", "side": "lo", "value": 11} in doc["rules"]
+    assert doc["lo"] == 11 == solve_g(5, 5, 1, 1, max_nodes=0).proof_lo
     # s out of range is a usage error, not a negative answer
     assert run(["bound", "--n", "5", "--k", "4", "--s", "4"]) == 2
+
+
+def test_bound_at_s_is_the_solver_root_floor(capsys):
+    for d in (1, 2):
+        for n in range(d, 7):
+            for k in range(1, 9):
+                for s in range(k):
+                    argv = ["bound", "--n", str(n), "--k", str(k), "--d", str(d), "--s", str(s)]
+                    assert run(argv) == 0
+                    doc, _ = _out(capsys)
+                    assert doc["lo"] == solve_g(n, k, d, s, max_nodes=0).proof_lo, argv
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [(["--n", "30", "--k", "3", "--d", "26"], 201_326_594),
+     (["--n", "1000000000", "--k", "3"], 1_000_000_003)],
+)
+def test_bound_builds_no_big_integer(capsys, argv, value):
+    # Theorems A and B compare bit lengths, not 2^(2^d k - d - k + 1) or
+    # 2^(n-d-1), and Griesmer's sum counts its tail of ones
+    tracemalloc.start()
+    try:
+        code = run(["bound", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc, _ = _out(capsys)
+    assert (code, doc["lo"], doc["hi"]) == (0, value, value)
+    assert peak < 1 << 20
 
 
 def test_table_formats(capsys):

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import f2cover
-from f2cover.bounds import _closed_form_rules, _lo, g_smax_formula, lb_origin_exactly
+from f2cover.bounds import _closed_form_rules, _lo, g_smax_formula, lb_g
 from f2cover.constructions import lemma31_cover
 from f2cover.covers import coverage_counts, verify
 from f2cover.gf2core import AffineSubspace, enumerate_subspaces, linear_systems
@@ -329,7 +329,7 @@ def test_code_length_row_never_exceeds_a_proved_g():
                 result = solve_g(n, k, 1, s)
                 assert result.status == "optimal" and row <= result.value, (n, k, s)
                 assert result.proof_lo >= row, (n, k, s)
-                assert lb_origin_exactly(n, k, 1, [s])[s] <= result.value, (n, k, s)
+                assert lb_g(n, k, 1)[s] <= result.value, (n, k, s)
 
 
 @pytest.mark.parametrize(
@@ -733,7 +733,7 @@ def test_direction_table_matches_the_quadruple_loop():
     for n in range(2, 9):
         for k in range(1, 14):
             for s in range(k):
-                glo = [lb_origin_exactly(n - 1, k - b, 1, [s - b])[s - b] for b in range(s + 1)]
+                glo = [lb_g(n - 1, k - b, 1)[s - b] for b in range(s + 1)]
                 table = _direction_lb_table(n, k, s)
                 assert [row[:k + 1] for row in table[:k + 1]] == _quadruple_loop_table(k, s, glo), (n, k, s)
 
