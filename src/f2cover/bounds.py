@@ -150,6 +150,7 @@ class Anchor:
 
 
 def anchors_from_json(doc: dict) -> tuple[Anchor, ...]:
+    """An anchor document's anchors; refuses another version and mistyped fields."""
     if doc.get("version", LEDGER_FORMAT_VERSION) != LEDGER_FORMAT_VERSION:
         raise ValueError(f"unsupported anchor document version {doc.get('version')!r}")
     out = []
@@ -179,6 +180,8 @@ def bundled_search_anchors() -> tuple[Anchor, ...]:
 
 @dataclass(frozen=True)
 class BoundEntry:
+    """One ledger cell: lo <= f(n,k,d) <= hi, with the rows that set each side."""
+
     n: int
     k: int
     d: int
@@ -247,7 +250,8 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     codes.code_from_cover builds), and N >= s + the Griesmer and
     sphere-packing lengths of such a code.  The row is not monotone in s
     (at (5,4,1) it reads 9, 10, 8, 8 for s = 0..3).  As f is the least g,
-    the f rows take the g rows' least, and the g rows take f's lo as AtLeastF.
+    the d=1 f rows take the least over s of the g rows' lo as LeastG, and
+    the g rows take f's lo as AtLeastF.
     """
     if s is not None:
         return _g_rows(n, k, d, s) + [("AtLeastF", "lo", _lo(_closed_form_rules(n, k, d)))]
@@ -271,7 +275,7 @@ def _closed_form_rules(n: int, k: int, d: int, s: int | None = None):
     if d == 1 and n == k and k >= 4:
         rules.append(("Construction(diag)", "hi", 3 * k - 4))
     if d == 1:
-        rules.append(("CodeLength", "lo", min(_g_pass(n, k, 1))))
+        rules.append(("LeastG", "lo", min(_g_pass(n, k, 1))))
     return rules
 
 
@@ -294,7 +298,7 @@ def _lo(rows) -> int:
 
 @lru_cache(maxsize=1 << 12)
 def _g_pass(n: int, k: int, d: int) -> tuple[int, ...]:
-    """The g rows' lo at each s: lb_g's pass, whose least is f's CodeLength."""
+    """The g rows' lo at each s: lb_g's pass, whose least is f's LeastG."""
     return tuple(_lo(_g_rows(n, k, d, s)) for s in range(k))
 
 
@@ -425,28 +429,25 @@ def n0_report(k: int, ledger: BoundLedger) -> N0Report:
     d = ledger.d
     n_lo, n_hi = ledger.n_range
     target = lambda n: _linear_value(n, k, d)
+    start = max(n_lo, d)
     below = None
-    first_exact = None
-    for n in range(max(n_lo, d), n_hi + 1):
+    n0_max = None
+    for n in range(start, n_hi + 1):
         e = ledger.cells.get((n, k, d))
         if e is None:
             continue
         if e.hi < target(n):
             below = n
-        if e.exact and e.lo == target(n) and first_exact is None:
-            first_exact = n
-    if first_exact is not None and below == first_exact - 1:
-        return N0Report(k=k, status="determined", n0=first_exact,
-                        n0_min=first_exact, n0_max=first_exact)
-    if first_exact is not None and below is None:
-        if first_exact == max(n_lo, d):
-            return N0Report(k=k, status="at_most", n0_max=first_exact)
-        return N0Report(k=k, status="open", n0_max=first_exact)
-    if first_exact is None and below is not None:
-        return N0Report(k=k, status="at_least", n0_min=below + 1)
-    if first_exact is not None:
-        return N0Report(k=k, status="open", n0_min=below + 1, n0_max=first_exact)
-    return N0Report(k=k, status="open")
+        if e.exact and e.lo == target(n) and n0_max is None:
+            n0_max = n
+    n0_min = None if below is None else below + 1
+    if n0_max is not None and n0_min == n0_max:
+        return N0Report(k=k, status="determined", n0=n0_max, n0_min=n0_min, n0_max=n0_max)
+    if n0_min is None:
+        status = "at_most" if n0_max == start else "open"
+    else:
+        status = "at_least" if n0_max is None else "open"
+    return N0Report(k=k, status=status, n0_min=n0_min, n0_max=n0_max)
 
 
 def _cell_text(e: BoundEntry) -> str:

@@ -265,7 +265,7 @@ def _emit_solve(result, label: str, args: argparse.Namespace, minimising: bool) 
     _emit(result.to_json(), args.out)
     value = "-" if result.value is None else str(result.value)
     _say(f"{label}: {result.status} value={value} nodes={result.nodes} "
-         f"proof_lo={result.proof_lo}")
+         f"proof_lo={result.proof_lo}" + "".join(f" assuming {a}" for a in result.assumptions))
     # a minimising call ends 'feasible' only when a budget stopped it
     if result.status == "unknown" or (minimising and result.status == "feasible"):
         return EXIT_BUDGET

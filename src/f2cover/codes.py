@@ -47,6 +47,7 @@ class LinearCode:
 
 
 def code_from_json(doc: dict) -> LinearCode:
+    """A code document's LinearCode; refuses another version, a non-integer or a bad row."""
     if doc.get("version", CODE_FORMAT_VERSION) != CODE_FORMAT_VERSION:
         raise ValueError(f"unsupported code document version {doc.get('version')!r}")
     rows = tuple(_json_mask(s) for s in _json_list(doc, "rows"))
@@ -111,26 +112,15 @@ _QUADRATIC_RESIDUES_11 = (1, 3, 4, 5, 9)
 def golay_generator() -> LinearCode:
     """The extended [24,12,8] Golay code in systematic form [I | B].
 
-    B is the bordered circulant on the quadratic residues mod 11; the rows
-    of the returned code are the 24 generator columns, so the induced
+    B is the bordered circulant on the quadratic residues mod 11, built by
+    its columns (the last is the border without the corner).  The rows of
+    the returned code are the 24 generator columns, so the induced
     hyperplane family is an (8,1;0)-cover of F_2^12.
     """
     support = {0, *_QUADRATIC_RESIDUES_11}
-    b_rows = []
-    for i in range(11):
-        row = 1 << 11
-        for j in range(11):
-            if (j - i) % 11 in support:
-                row |= 1 << j
-        b_rows.append(row)
-    b_rows.append((1 << 11) - 1)
-    rows = [1 << i for i in range(12)]
-    for j in range(12):
-        col = 0
-        for i in range(12):
-            if (b_rows[i] >> j) & 1:
-                col |= 1 << i
-        rows.append(col)
+    b_columns = [sum(1 << i for i in range(11) if (j - i) % 11 in support) | 1 << 11
+                 for j in range(11)]
+    rows = [1 << i for i in range(12)] + b_columns + [(1 << 11) - 1]
     return LinearCode(dim=12, length=24, rows=tuple(rows))
 
 

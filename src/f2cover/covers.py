@@ -108,6 +108,7 @@ class Cover:
 
 
 def cover_from_json(doc: dict) -> Cover:
+    """A cover document's Cover; refuses another version, a bad entry or a mismatched header."""
     if doc.get("version", COVER_FORMAT_VERSION) != COVER_FORMAT_VERSION:
         raise ValueError(f"unsupported cover document version {doc.get('version')!r}")
     entries = [

@@ -9,6 +9,7 @@ echelon form so that equal subspaces compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum, auto
 from itertools import combinations, product
 from typing import Sequence
 
@@ -91,20 +92,14 @@ def ones_vector(n: int) -> GFVector:
     return GFVector((1 << n) - 1, n)
 
 
-class _Outcome:
+class _Outcome(Enum):
     """Sentinel result of canonicalize for systems with no proper subspace."""
 
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
+    EMPTY = auto()
+    DEGENERATE = auto()
 
 
-EMPTY = _Outcome("EMPTY")
-DEGENERATE = _Outcome("DEGENERATE")
+EMPTY, DEGENERATE = _Outcome
 
 
 @dataclass(frozen=True)
@@ -153,6 +148,7 @@ class AffineSubspace:
 
 
 def subspace_from_json(doc: dict) -> AffineSubspace:
+    """A subspace document's AffineSubspace; refuses bad fields and improper systems."""
     n = _json_int(doc, "n")
     normals = [_json_mask(s) for s in _json_list(doc, "normals")]
     rhs = _json_mask(doc["rhs"])
@@ -216,7 +212,7 @@ def subspace(normals: Sequence[GFVector], rhs: Sequence[int]) -> AffineSubspace:
     """canonicalize() that insists on a proper subspace."""
     got = canonicalize(normals, rhs)
     if not isinstance(got, AffineSubspace):
-        raise ValueError(f"constraint system is {got!r}, not a proper subspace")
+        raise ValueError(f"constraint system is {got.name}, not a proper subspace")
     return got
 
 

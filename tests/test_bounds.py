@@ -202,10 +202,14 @@ def test_f_is_the_least_g():
                 assert list(table) == [_lo(_closed_form_rules(n, k, d, s)) for s in range(k)]
 
 
-def test_code_length_pins_f_12_4_without_anchors():
+def test_least_g_pins_f_12_4_without_anchors():
+    # f(12,4,1) = 17 is the least over s of all the g rows at s: the
+    # code-length bound alone reads 15 at s = 2, where RestrictionDescent
+    # gives 17, so the f row is LeastG, not CodeLength
     e = propagate(12, 4, 1).entry(12, 4)
     assert (e.lo, e.hi) == (17, 17)
-    assert "CodeLength" in e.lo_provenance
+    assert "LeastG" in e.lo_provenance and "CodeLength" not in e.lo_provenance
+    assert [s + _code_length(12, 4 - s) for s in range(4)] == [17, 18, 15, 15]
 
 
 def test_fixed_origin_formulas():

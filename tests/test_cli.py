@@ -351,6 +351,18 @@ def test_assume_high_origin_excludes_fixed_s(capsys):
     assert run(["solve", "--n", "3", "--k", "3", "--assume-high-origin"]) == 0
 
 
+def test_a_conditional_optimum_says_so_on_stderr(capsys):
+    assert run(["solve", "--n", "5", "--k", "4", "--assume-high-origin"]) == 0
+    doc, err = _out(capsys)
+    assert doc["assumptions"] == ["origin_count >= k-2"]
+    assert err == "f(5,4,1): optimal value=10 nodes=0 proof_lo=10 assuming origin_count >= k-2\n"
+    # an unconditional run prints no label
+    assert run(["solve", "--n", "5", "--k", "4"]) == 0
+    doc, err = _out(capsys)
+    assert doc["assumptions"] == []
+    assert err == "f(5,4,1): optimal value=10 nodes=533 proof_lo=9\n"
+
+
 def test_seed_cover_file(tmp_path, capsys):
     C = gv_random_cover(4, 2, seed=4)
     path = tmp_path / "seed.json"

@@ -110,6 +110,11 @@ def test_golay_generator_shape():
     code = golay_generator()
     assert (code.dim, code.length) == (12, 24)
     assert code.rows[:12] == tuple(1 << i for i in range(12))
+    # the 12 columns of B: the bordered circulant on the residues mod 11
+    assert code.to_json()["rows"][12:] == [
+        "0xdc5", "0xb8b", "0xf16", "0xe2d", "0xc5b", "0x8b7",
+        "0x96e", "0xadc", "0xdb8", "0xb71", "0xee2", "0x7ff",
+    ]
     # every codeword weight is a multiple of 4 in the extended Golay code
     for msg in (1, 0b11, 0b1010101, (1 << 12) - 1):
         assert encode_bits(code, msg).bit_count() % 4 == 0

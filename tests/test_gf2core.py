@@ -144,9 +144,10 @@ def test_subspace_builder_rejects_improper_systems():
     u = GFVector(0b01, 2)
     v = GFVector(0b10, 2)
     w = GFVector(0b11, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^constraint system is EMPTY, not a proper subspace$"):
         subspace([u, u], [0, 1])  # inconsistent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^constraint system is DEGENERATE, not a proper subspace$"):
         subspace([u, u], [0, 0])  # dependent
     with pytest.raises(ValueError):
         subspace([u, v, w], [1, 0, 1])  # dependent triple

@@ -256,6 +256,26 @@ def test_each_seed_is_verified_once(monkeypatch):
     assert solver_module._best_seed(16, 3, 1, 0, 0, None, None) is None
 
 
+def test_seeds_and_rule_rows_name_the_same_families():
+    # each seed's family has its rule row and back, except Lemma 3.1 at
+    # n = d: there, at s = k - 2, its cover ties the points cover, and
+    # seeding it would change the certificates of six pinned solver documents
+    row_of = {"ThmA": "ThmA", "Lemma31": "Construction(l31)", "SMax": "Construction(smax)",
+              "Diagonal": "Construction(diag)", None: "Anchor(allpoints)"}
+    unseeded = set()
+    for d in range(1, 4):
+        for n in range(d, 9):
+            for k in range(1, 9):
+                seeded = {row_of[C.tag and C.tag.name]
+                          for C, _ in solver_module._seeds(n, k, d, 0, None)}
+                rows = {tag for tag, _, _ in _closed_form_rules(n, k, d)} & set(row_of.values())
+                assert seeded <= rows, (n, k, d)
+                if rows != seeded:
+                    assert rows - seeded == {"Construction(l31)"}, (n, k, d)
+                    unseeded.add((n, k, d))
+    assert unseeded == {(d, k, d) for d in range(1, 4) for k in range(2, 9)}
+
+
 def test_a_cover_at_the_root_bound_ends_the_run():
     # No construction fits s=0; the first cover the search finds meets the
     # root bound, so nothing is left to prove (100,001 nodes without the stop).
@@ -819,8 +839,9 @@ def test_root_closures_build_no_pool(monkeypatch, call):
 
 
 def test_code_length_closes_f_12_4_at_the_root(monkeypatch):
-    # CodeLength puts every origin count's root bound at 17 or more, which
-    # the Lemma 3.1 seed meets, so no pool is built
+    # the g rows put every origin count's root bound at 17 or more
+    # (CodeLength at s = 0, 1, RestrictionDescent at s = 2, 3), which the
+    # Lemma 3.1 seed meets, so no pool is built
     def refuse(self, *args):
         raise AssertionError("a root-closed call built the pool")
 

@@ -73,6 +73,12 @@ def test_all_names_exactly_the_public_bindings():
     assert sorted(f2cover.__all__) == sorted(bound)
 
 
+def test_every_public_name_has_its_own_docstring():
+    # a dataclass with no docstring gets its generated signature as one
+    docs = {name: getattr(f2cover, name).__doc__ or "" for name in f2cover.__all__}
+    assert [name for name, doc in docs.items() if not doc.strip() or doc.startswith(f"{name}(")] == []
+
+
 def test_reference_forks_stay_out_of_src():
     # tests/gf2_reference.py holds the independent references the tests
     # check the package against; none may drift back into the package, as
